@@ -22,6 +22,7 @@ from .graphs import (
     bold_subgraph,
     canonical_document,
     canonical_json,
+    components,
     graph_from_document,
     load_graph,
     parse_graph,
@@ -30,10 +31,12 @@ from .graphs import (
     validate,
 )
 from .homology import (
+    Analysis,
     AntiInvariantLattice,
     Chain,
     CycleBasis,
     EdgeClass,
+    analyse,
     anti_invariant_lattice,
     classification_report,
     classify_edge_by_cycles,
@@ -97,6 +100,7 @@ __all__ = [
     "bold_subgraph",
     "canonical_document",
     "canonical_json",
+    "components",
     "graph_from_document",
     "load_graph",
     "parse_graph",
@@ -104,10 +108,12 @@ __all__ = [
     "to_document",
     "validate",
     # homology
+    "Analysis",
     "AntiInvariantLattice",
     "Chain",
     "CycleBasis",
     "EdgeClass",
+    "analyse",
     "anti_invariant_lattice",
     "classification_report",
     "classify_edge_by_cycles",

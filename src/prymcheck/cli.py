@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .dicing import (
     DicingVerdict,
@@ -33,9 +32,16 @@ from .dicing import (
     star_star_matrix,
 )
 from .errors import CapExceededError, GraphFormatError, InvalidGraphError
-from .fs import FSWitness, fs_component_genera, fs_report, is_fs_degeneration
-from .graphs import auto_orient, load_graph, validate
-from .homology import anti_invariant_lattice, classification_report, classify_edges
+from .fs import (
+    FSWitness,
+    _fs_text,
+    _strongest,
+    fs_bipartitions,
+    fs_component_genera,
+    fs_report,
+)
+from .graphs import load_graph
+from .homology import _classification_text, analyse
 from .verify import GenSpec, run_suite
 
 SCHEMA_VERSION = 1
@@ -56,10 +62,6 @@ def _emit_structured(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2), output)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _verdict_obj(verdict: DicingVerdict) -> dict:
     obj = {
         "holds": verdict.is_dicing,
@@ -74,7 +76,7 @@ def _verdict_obj(verdict: DicingVerdict) -> dict:
             "determinant": w.determinant,
             "unit_rhs_row": w.row_subset[w.rhs],
             "point_doubled": {
-                eid: _fraction_str(value)
+                eid: str(value)
                 for eid, value in zip(verdict.edge_ids, w.point)
                 if value
             },
@@ -95,29 +97,27 @@ def _fs_obj(witness: FSWitness | None) -> dict | None:
     }
 
 
-def _classes_obj(og, lattice, classes) -> list[dict]:
+def _classes_obj(a) -> list[dict]:
     return [
         {
             "orbit": [cls.orbit_rep, cls.partner],
             "type": cls.type,
             "multiplier": cls.multiplier,
-            "gcd": lattice.edge_gcds[cls.orbit_rep],
+            "gcd": a.lattice.edge_gcds[cls.orbit_rep],
         }
-        for cls in classes
+        for cls in a.classes
     ]
 
 
 def cmd_check(args) -> int:
-    g = load_graph(args.input)
-    og = auto_orient(g)
-    report = validate(og)
-    lattice = anti_invariant_lattice(og)
-    classes = classify_edges(og, lattice)
-    star_verdict = is_dicing(star_matrix(lattice, classes))
-    starstar_verdict = is_dicing(star_star_matrix(lattice, classes))
+    a = analyse(load_graph(args.input))
+    og, report = a.graph, a.report
+    star_verdict = is_dicing(star_matrix(a.lattice, a.classes))
+    starstar_verdict = is_dicing(star_star_matrix(a.lattice, a.classes))
     indeterminacy = not star_verdict.is_dicing
 
     if args.format == "structured":
+        witnesses = fs_bipartitions(og)
         _emit_structured(
             {
                 "command": "check",
@@ -126,15 +126,15 @@ def cmd_check(args) -> int:
                 "edges": len(og.edges),
                 "n_e": report.n_e,
                 "c_e": report.c_e,
-                "d": lattice.rank,
-                "edge_classes": _classes_obj(og, lattice, classes),
+                "d": a.lattice.rank,
+                "edge_classes": _classes_obj(a),
                 "conditions": {
                     "star": _verdict_obj(star_verdict),
                     "starstar": _verdict_obj(starstar_verdict),
                 },
                 "fs": {
-                    "min2": _fs_obj(is_fs_degeneration(og, 2)),
-                    "min4": _fs_obj(is_fs_degeneration(og, 4)),
+                    "min2": _fs_obj(_strongest(witnesses, 2)),
+                    "min4": _fs_obj(_strongest(witnesses, 4)),
                 },
                 "indeterminacy": indeterminacy,
             },
@@ -145,7 +145,7 @@ def cmd_check(args) -> int:
     lines = [
         f"valid: yes ({len(og.vertices)} vertices, {len(og.edges)} edges; "
         f"bold: {len(report.bold_vertices)} vertices, {len(report.bold_edges)} edges)",
-        classification_report(og),
+        _classification_text(a),
         dicing_report(star_verdict),
         dicing_report(starstar_verdict),
         fs_report(og),
@@ -156,28 +156,24 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = load_graph(args.input)
-    og = auto_orient(g)
+    a = analyse(load_graph(args.input))
     if args.format == "structured":
-        lattice = anti_invariant_lattice(og)
-        classes = classify_edges(og, lattice)
         _emit_structured(
             {
                 "command": "classify",
-                "d": lattice.rank,
-                "edge_classes": _classes_obj(og, lattice, classes),
+                "d": a.lattice.rank,
+                "edge_classes": _classes_obj(a),
             },
             args.output,
         )
         return 0
-    _emit(classification_report(og), args.output)
+    _emit(_classification_text(a), args.output)
     return 0
 
 
 def cmd_fs(args) -> int:
-    g = load_graph(args.input)
-    og = auto_orient(g)
-    witness = is_fs_degeneration(og, args.min_fs_edges)
+    witnesses = fs_bipartitions(load_graph(args.input))
+    witness = _strongest(witnesses, args.min_fs_edges)
     if args.format == "structured":
         _emit_structured(
             {
@@ -189,7 +185,7 @@ def cmd_fs(args) -> int:
             args.output,
         )
         return 0
-    lines = [fs_report(og)]
+    lines = [_fs_text(witnesses)]
     found = "YES" if witness is not None else "no"
     lines.append(
         f"friedman-smith degeneration with >= {args.min_fs_edges} crossing edges: {found}"

@@ -29,13 +29,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CapExceededError
-from .graphs import EquivariantGraph, Involution, auto_orient
-from .homology import (
-    AntiInvariantLattice,
-    _anti_rows,
-    anti_invariant_lattice,
-    classify_edges,
-)
+from .graphs import EquivariantGraph, Involution
+from .homology import AntiInvariantLattice, _anti_rows, analyse
 
 __all__ = [
     "STAR",
@@ -108,7 +103,11 @@ def _functional_matrix(
         col = lattice.edge_ids.index(cls.orbit_rep)
         values = [row[col] for row in basis]
         if tag == STAR:
-            assert all(v % gcd == 0 for v in values)
+            if any(v % gcd for v in values):
+                raise RuntimeError(
+                    f"edge {cls.orbit_rep!r}: basis column not divisible by its "
+                    f"gcd {gcd}; this is a bug upstream"
+                )
             values = [v // gcd for v in values]
         rows.append((cls.orbit_rep, tuple(values)))
     m = FunctionalMatrix(tag, lattice.rank, lattice.edge_ids, basis, tuple(rows))
@@ -182,18 +181,14 @@ def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
 
 def condition_star(g: EquivariantGraph) -> DicingVerdict:
     """Full pipeline for condition (*) on a valid graph."""
-    og = auto_orient(g)
-    lattice = anti_invariant_lattice(og)
-    classes = classify_edges(og, lattice)
-    return is_dicing(star_matrix(lattice, classes))
+    a = analyse(g)
+    return is_dicing(star_matrix(a.lattice, a.classes))
 
 
 def condition_star_star(g: EquivariantGraph) -> DicingVerdict:
     """Full pipeline for condition (**) on a valid graph."""
-    og = auto_orient(g)
-    lattice = anti_invariant_lattice(og)
-    classes = classify_edges(og, lattice)
-    return is_dicing(star_star_matrix(lattice, classes))
+    a = analyse(g)
+    return is_dicing(star_star_matrix(a.lattice, a.classes))
 
 
 def witness_is_sound(m: FunctionalMatrix, verdict: DicingVerdict) -> bool:
@@ -253,26 +248,30 @@ def deletion_criterion(g: EquivariantGraph, orbit_subset) -> bool:
     accepted), all of type 2 or 3.  Equivalent to linear independence of the
     corresponding rows of the STAR matrix.
     """
-    og = auto_orient(g)
-    lattice = anti_invariant_lattice(og)
-    classes = {cls.orbit_rep: cls for cls in classify_edges(og, lattice)}
-    emap = og.involution.edges
+    a = analyse(g)
+    classes = {cls.orbit_rep: cls for cls in a.classes}
+    emap = a.graph.involution.edges
     reps = set()
     for eid in orbit_subset:
         if eid not in emap:
             raise KeyError(eid)
         reps.add(min(eid, emap[eid]))
-    if len(reps) != lattice.rank:
+    if len(reps) != a.lattice.rank:
         raise ValueError(
-            f"expected exactly d = {lattice.rank} distinct orbits, got {len(reps)}"
+            f"expected exactly d = {a.lattice.rank} distinct orbits, got {len(reps)}"
         )
     for rep in sorted(reps):
         if classes[rep].type == 1:
             raise ValueError(f"orbit {rep!r} has type 1; only types 2 and 3 allowed")
-    removed = set()
-    for rep in reps:
-        removed.add(rep)
-        removed.add(emap[rep])
+    return _deletion_kills_lattice(a.graph, reps)
+
+
+def _deletion_kills_lattice(og: EquivariantGraph, reps) -> bool:
+    """deletion_criterion for checked orbit representatives of an oriented
+    valid graph.  X^- of the deleted graph is rebuilt from its own cycles,
+    never read off the lattice of og."""
+    emap = og.involution.edges
+    removed = set(reps) | {emap[rep] for rep in reps}
     remaining_edges = tuple(e for e in og.edges if e.id not in removed)
     deleted = EquivariantGraph(
         og.vertices,
@@ -284,10 +283,6 @@ def deletion_criterion(g: EquivariantGraph, orbit_subset) -> bool:
         oriented=True,
     )
     return linalg.rank(_anti_rows(deleted)) == 0
-
-
-def _fraction_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def dicing_report(verdict: DicingVerdict) -> str:
@@ -302,7 +297,7 @@ def dicing_report(verdict: DicingVerdict) -> str:
             f"unit rhs at {w.row_subset[w.rhs]}"
         )
         coords = ", ".join(
-            f"{eid} = {_fraction_text(value)}"
+            f"{eid} = {value}"
             for eid, value in zip(verdict.edge_ids, w.point)
             if value
         )

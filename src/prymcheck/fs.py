@@ -17,11 +17,10 @@ ordinary edges connecting the two parts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .graphs import EquivariantGraph, bold_subgraph, require_valid
+from .graphs import EquivariantGraph, bold_subgraph, components, require_valid
 
 __all__ = [
     "DEFAULT_ORBIT_CAP",
@@ -58,26 +57,6 @@ class SubgraphPair:
     edges1: frozenset[str]
     vertices2: frozenset[str]
     edges2: frozenset[str]
-
-
-def _induced_connected(g: EquivariantGraph, part) -> bool:
-    edges = [e for e in g.edges if e.tail in part and e.head in part]
-    if not part:
-        return False
-    adjacency = {v: [] for v in part}
-    for e in edges:
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    start = min(part)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(part)
 
 
 def _crossings(g: EquivariantGraph, part1):
@@ -117,7 +96,7 @@ def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
             v for bit, orbit in enumerate(orbits) if mask >> bit & 1 for v in orbit
         )
         part2 = frozenset(g.vertex_ids) - part1
-        if not _induced_connected(g, part1) or not _induced_connected(g, part2):
+        if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
             continue
         crossing = _crossings(g, part1)
         if any(emap[eid] == eid for eid in crossing):
@@ -135,8 +114,13 @@ def is_fs_degeneration(
     min_edges, or None; ties go to the first in enumeration order."""
     if min_edges < 2 or min_edges % 2:
         raise ValueError("min_edges must be an even number >= 2")
+    return _strongest(fs_bipartitions(g, orbit_cap), min_edges)
+
+
+def _strongest(witnesses, min_edges: int):
+    """is_fs_degeneration read off a listing of fs_bipartitions."""
     best = None
-    for witness in fs_bipartitions(g, orbit_cap):
+    for witness in witnesses:
         if witness.crossing_count >= min_edges:
             if best is None or witness.crossing_count > best.crossing_count:
                 best = witness
@@ -172,30 +156,12 @@ def _check_pair(g: EquivariantGraph, pair: SubgraphPair):
         )
         if outside:
             problems.append(f"{label} part: edges {outside} leave its vertex set")
-        elif not _subgraph_connected(g, verts, edges):
+        elif len(components(verts, [g.edge(e) for e in edges])) != 1:
             problems.append(f"{label} part is not connected")
     if pair.vertices1 & pair.vertices2:
         problems.append("parts share vertices")
     if problems:
         raise ValueError("malformed subgraph pair: " + "; ".join(problems))
-
-
-def _subgraph_connected(g: EquivariantGraph, verts, edges) -> bool:
-    adjacency = {v: [] for v in verts}
-    for eid in edges:
-        e = g.edge(eid)
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    start = min(verts)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(verts)
 
 
 def complete_subgraph_pair(
@@ -236,57 +202,24 @@ def complete_subgraph_pair(
             )
 
     verts1 = set(pair.vertices1)
-    edges1 = set(pair.edges1)
     verts2 = set(pair.vertices2)
-    edges2 = set(pair.edges2)
     for comp in bold.components:
         if comp.vertices & verts1:
             verts1 |= comp.vertices
-            edges1 |= comp.edges
         elif comp.vertices & verts2:
             verts2 |= comp.vertices
-            edges2 |= comp.edges
 
     outside = set(g.vertex_ids) - verts1 - verts2
-    complement = [e.id for e in g.edges if e.id not in edges1 and e.id not in edges2]
-    incident = {v: [] for v in outside}
-    for eid in complement:
-        e = g.edge(eid)
-        for v in (e.tail, e.head):
-            if v in outside:
-                incident[v].append(eid)
-
-    unseen = set(complement)
-    for seed in sorted(complement):
-        if seed not in unseen:
-            continue
-        comp_edges = {seed}
-        comp_verts = set()
-        unseen.discard(seed)
-        stack = [seed]
-        while stack:
-            eid = stack.pop()
-            e = g.edge(eid)
-            for v in (e.tail, e.head):
-                if v in outside and v not in comp_verts:
-                    comp_verts.add(v)
-                    for other in incident[v]:
-                        if other in unseen:
-                            unseen.discard(other)
-                            comp_edges.add(other)
-                            stack.append(other)
-        touches1 = any(
-            v in verts1 for eid in comp_edges for v in (g.edge(eid).tail, g.edge(eid).head)
-        )
-        touches2 = any(
-            v in verts2 for eid in comp_edges for v in (g.edge(eid).tail, g.edge(eid).head)
-        )
+    for comp in components(outside, g.edges):
+        ends = {
+            v for e in g.edges if e.tail in comp or e.head in comp for v in (e.tail, e.head)
+        }
+        touches1 = not ends.isdisjoint(verts1)
+        touches2 = not ends.isdisjoint(verts2)
         if touches1 and not touches2:
-            verts1 |= comp_verts
-            edges1 |= comp_edges
+            verts1 |= comp
         elif touches2 and not touches1:
-            verts2 |= comp_verts
-            edges2 |= comp_edges
+            verts2 |= comp
         elif not touches1 and not touches2:
             raise RuntimeError(
                 "complement component attached to neither part; the graph "
@@ -300,7 +233,7 @@ def complete_subgraph_pair(
         raise RuntimeError("completion left a bold crossing edge; this is a bug")
     if len(crossing) < len(ordinary_direct):
         raise RuntimeError("completion lost connecting edges; this is a bug")
-    if not _induced_connected(g, part1) or not _induced_connected(g, part2):
+    if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
         raise RuntimeError("completion produced a disconnected part; this is a bug")
     return FSWitness(part1, part2, _crossing_orbits(g, crossing), len(crossing))
 
@@ -319,10 +252,14 @@ def fs_component_genera(genus: int, n: int):
 
 def fs_report(g: EquivariantGraph) -> str:
     """Human-readable Friedman-Smith summary at thresholds 2 and 4."""
-    witnesses = fs_bipartitions(g)
+    return _fs_text(fs_bipartitions(g))
+
+
+def _fs_text(witnesses) -> str:
+    """fs_report read off a listing of fs_bipartitions."""
     lines = [f"friedman-smith bipartitions with ordinary crossings: {len(witnesses)}"]
     for threshold in (2, 4):
-        best = is_fs_degeneration(g, threshold)
+        best = _strongest(witnesses, threshold)
         if best is None:
             lines.append(f"  threshold {threshold}: no")
         else:

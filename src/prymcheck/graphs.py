@@ -16,8 +16,8 @@ compatible orientation and sets the `oriented` flag.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque
+from dataclasses import dataclass, replace
 
 from .errors import GraphFormatError, InvalidGraphError
 
@@ -39,6 +39,7 @@ __all__ = [
     "require_valid",
     "auto_orient",
     "bold_subgraph",
+    "components",
     "arithmetic_genus",
 ]
 
@@ -170,6 +171,8 @@ def parse_graph(text: str) -> EquivariantGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("not valid JSON: nested too deeply") from None
     return graph_from_document(doc)
 
 
@@ -281,23 +284,30 @@ def canonical_json(g: EquivariantGraph) -> str:
     return json.dumps(canonical_document(g), sort_keys=True, separators=(",", ":"))
 
 
-def _connected(vertex_ids, edges) -> bool:
-    if not vertex_ids:
-        return False
+def components(vertex_ids, edges) -> tuple[frozenset[str], ...]:
+    """Connected components of the graph on vertex_ids spanned by those
+    edges (objects with tail and head) that have both endpoints in
+    vertex_ids; other edges are ignored.  Sorted by smallest vertex id."""
     adjacency = {v: [] for v in vertex_ids}
     for e in edges:
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    start = min(vertex_ids)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertex_ids)
+        if e.tail in adjacency and e.head in adjacency:
+            adjacency[e.tail].append(e.head)
+            adjacency[e.head].append(e.tail)
+    out = []
+    seen = set()
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            for w in adjacency[queue.popleft()]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(frozenset(comp))
+    return tuple(out)
 
 
 def validate(g: EquivariantGraph) -> ValidationReport:
@@ -316,9 +326,9 @@ def validate(g: EquivariantGraph) -> ValidationReport:
 
     if not g.vertices:
         violations.append(("no-vertices", "graph has no vertices"))
-    for vid in sorted({v for v in vid_list if vid_list.count(v) > 1}):
+    for vid in sorted(v for v, n in Counter(vid_list).items() if n > 1):
         violations.append(("duplicate-vertex-id", f"vertex id {vid!r} repeats"))
-    for eid in sorted({e for e in eid_list if eid_list.count(e) > 1}):
+    for eid in sorted(e for e, n in Counter(eid_list).items() if n > 1):
         violations.append(("duplicate-edge-id", f"edge id {eid!r} repeats"))
     for v in g.vertices:
         if v.genus is not None and (not isinstance(v.genus, int) or isinstance(v.genus, bool) or v.genus < 0):
@@ -362,7 +372,7 @@ def validate(g: EquivariantGraph) -> ValidationReport:
                     violations.append(
                         ("orientation-incompatible", f"edge {e.id!r}: orientation of partner {partner.id!r} is not the involution image")
                     )
-        if g.vertices and not _connected(vids, g.edges):
+        if g.vertices and len(components(vids, g.edges)) != 1:
             violations.append(("not-connected", "underlying graph is not connected"))
 
     if violations:
@@ -391,6 +401,11 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
     so they are compatible as stored).  Idempotent.
     """
     require_valid(g)
+    return _orient(g)
+
+
+def _orient(g: EquivariantGraph) -> EquivariantGraph:
+    """auto_orient on a graph already known to be valid."""
     vmap = g.involution.vertices
     emap = g.involution.edges
     oriented = {}
@@ -411,28 +426,11 @@ def bold_subgraph(g: EquivariantGraph) -> BoldSubgraph:
     report = require_valid(g)
     bverts = report.bold_vertices
     bedges = report.bold_edges
-    adjacency = {v: [] for v in bverts}
-    for eid in bedges:
-        e = g.edge(eid)
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    components = []
-    seen = set()
-    for start in sorted(bverts):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comp_edges = frozenset(eid for eid in bedges if g.edge(eid).tail in comp)
-        components.append(BoldComponent(frozenset(comp), comp_edges))
-    return BoldSubgraph(bverts, bedges, tuple(components))
+    comps = tuple(
+        BoldComponent(comp, frozenset(eid for eid in bedges if g.edge(eid).tail in comp))
+        for comp in components(bverts, [g.edge(eid) for eid in bedges])
+    )
+    return BoldSubgraph(bverts, bedges, comps)
 
 
 def arithmetic_genus(g: EquivariantGraph) -> int:

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import CapExceededError
-from .graphs import EquivariantGraph, auto_orient, require_valid
+from .graphs import (
+    EquivariantGraph,
+    ValidationReport,
+    _orient,
+    auto_orient,
+    require_valid,
+)
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
@@ -37,6 +43,8 @@ __all__ = [
     "CycleBasis",
     "AntiInvariantLattice",
     "EdgeClass",
+    "Analysis",
+    "analyse",
     "fundamental_cycles",
     "involution_on_chain",
     "simple_cycles",
@@ -123,6 +131,18 @@ class EdgeClass:
     partner: str
     type: int
     multiplier: int | None
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything read off a valid graph in one pass: the graph with its
+    compatible orientation, its validation report, the lattice X^- and the
+    edge-orbit classes."""
+
+    graph: EquivariantGraph
+    report: ValidationReport
+    lattice: AntiInvariantLattice
+    classes: tuple[EdgeClass, ...]
 
 
 def _require_oriented(g: EquivariantGraph):
@@ -254,7 +274,12 @@ def _anti_rows(g: EquivariantGraph):
         row = []
         for eid in edge_ids:
             diff = omega[eid] - image[eid]
-            assert diff % 2 == 0
+            if diff % 2:
+                raise RuntimeError(
+                    f"edge {eid!r}: a cycle and its image differ by the odd "
+                    f"value {diff}; doubled cycle entries are even, so this is "
+                    "a bug upstream"
+                )
             row.append(diff // 2)
         rows.append(row)
     return rows
@@ -264,6 +289,11 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     """The lattice X^- = image of (1 - i)/2 on integral cycles, with its
     canonical HNF basis in doubled units."""
     _require_oriented(g)
+    return _lattice(g)
+
+
+def _lattice(g: EquivariantGraph) -> AntiInvariantLattice:
+    """anti_invariant_lattice on a valid, oriented graph."""
     edge_ids = g.edge_ids
     basis_rows = linalg.hnf_rows(_anti_rows(g))
     basis = tuple(
@@ -288,11 +318,17 @@ def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice | None = N
     If lattice is given it must be anti_invariant_lattice(auto_orient(g)).
     Returns EdgeClass entries sorted by orbit representative.
     """
-    og = auto_orient(g)
-    lat = lattice if lattice is not None else anti_invariant_lattice(og)
+    if lattice is None:
+        return analyse(g).classes
+    require_valid(g)
+    return _classify(g, lattice)
+
+
+def _classify(g: EquivariantGraph, lattice: AntiInvariantLattice):
+    """classify_edges on a valid graph with its lattice."""
     out = []
-    for rep, partner in og.edge_orbits():
-        gcd = lat.edge_gcds[rep]
+    for rep, partner in g.edge_orbits():
+        gcd = lattice.edge_gcds[rep]
         if gcd == 0:
             out.append(EdgeClass(rep, partner, 1, None))
         elif gcd == 2:
@@ -307,6 +343,16 @@ def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice | None = N
     return tuple(out)
 
 
+def analyse(g: EquivariantGraph) -> Analysis:
+    """The single pass every verdict reads from: validate g once, orient
+    it, build X^- and classify the edge orbits.  Raises InvalidGraphError
+    when g is invalid."""
+    report = require_valid(g)
+    og = _orient(g)
+    lattice = _lattice(og)
+    return Analysis(og, report, lattice, _classify(og, lattice))
+
+
 def classify_edge_by_cycles(
     g: EquivariantGraph, edge_id: str, cap: int = DEFAULT_CYCLE_CAP
 ) -> int:
@@ -319,10 +365,14 @@ def classify_edge_by_cycles(
     og = auto_orient(g)
     if edge_id not in og.involution.edges:
         raise KeyError(edge_id)
-    partner = og.emap(edge_id)
+    return _cycle_type(simple_cycles(og, cap), edge_id, og.emap(edge_id))
+
+
+def _cycle_type(cycles, edge_id: str, partner: str) -> int:
+    """classify_edge_by_cycles read off a listing of all simple cycles."""
     saw_unit_alone = False
     saw_nonzero = False
-    for cycle in simple_cycles(og, cap):
+    for cycle in cycles:
         a = cycle[edge_id]
         b = cycle[partner]
         if abs(a) == 2 and b == 0:
@@ -336,15 +386,17 @@ def classify_edge_by_cycles(
 
 def classification_report(g: EquivariantGraph) -> str:
     """Human-readable classification of all edge orbits."""
-    og = auto_orient(g)
-    lat = anti_invariant_lattice(og)
-    classes = classify_edges(og, lat)
-    report = require_valid(og)
+    return _classification_text(analyse(g))
+
+
+def _classification_text(a: Analysis) -> str:
+    """classification_report read off an Analysis."""
+    lat = a.lattice
     lines = [
-        f"rank d = {lat.rank} (exchanged edge pairs {report.n_e} - exchanged vertex pairs {report.c_e})",
+        f"rank d = {lat.rank} (exchanged edge pairs {a.report.n_e} - exchanged vertex pairs {a.report.c_e})",
         "edge orbits (basis values in doubled units; multiply by 1/2 for true coordinates):",
     ]
-    for cls in classes:
+    for cls in a.classes:
         values = [chain[cls.orbit_rep] for chain in lat.basis]
         label = (
             f"{cls.orbit_rep} (fixed)"

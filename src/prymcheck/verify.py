@@ -26,30 +26,24 @@ from typing import Iterator
 
 from . import linalg
 from .dicing import (
+    _deletion_kills_lattice,
     dicing_bruteforce,
-    deletion_criterion,
     is_dicing,
     star_matrix,
     star_star_matrix,
     witness_is_sound,
 )
 from .errors import CapExceededError
-from .fs import is_fs_degeneration
+from .fs import _strongest, fs_bipartitions
 from .graphs import (
     EquivariantGraph,
     Involution,
     OrientedEdge,
     Vertex,
-    auto_orient,
     canonical_json,
     validate,
 )
-from .homology import (
-    anti_invariant_lattice,
-    classify_edge_by_cycles,
-    classify_edges,
-    involution_on_chain,
-)
+from .homology import _cycle_type, analyse, involution_on_chain, simple_cycles
 
 __all__ = [
     "GenSpec",
@@ -303,11 +297,9 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
     harness self-test hook: it doubles every row of the (**) matrix, which
     must produce recorded theorem2 failures on suitable graphs.
     """
-    og = auto_orient(g)
-    report = validate(og)
-    lattice = anti_invariant_lattice(og)
+    a = analyse(g)
+    og, report, lattice, classes = a.graph, a.report, a.lattice, a.classes
     d = lattice.rank
-    classes = classify_edges(og, lattice)
     has_type2 = any(c.type == 2 for c in classes)
 
     m_star = star_matrix(lattice, classes)
@@ -324,8 +316,10 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
     star = star_verdict.is_dicing
     starstar = starstar_verdict.is_dicing
 
-    fs2 = is_fs_degeneration(og, 2) is not None
-    fs4 = is_fs_degeneration(og, 4) is not None
+    witnesses = fs_bipartitions(og)
+    fs2 = _strongest(witnesses, 2) is not None
+    fs4 = _strongest(witnesses, 4) is not None
+    cycles = simple_cycles(og)
 
     checks = {
         "theorem1": star == (not fs4),
@@ -339,8 +333,8 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
         "gcd_bound": all(v in (0, 1, 2) for v in lattice.edge_gcds.values())
         and all(c.type == 1 for c in classes if og.is_bold_edge(c.orbit_rep)),
         "classifier_agreement": all(
-            classify_edge_by_cycles(og, c.orbit_rep) == c.type
-            and classify_edge_by_cycles(og, c.partner) == c.type
+            _cycle_type(cycles, c.orbit_rep, c.partner) == c.type
+            and _cycle_type(cycles, c.partner, c.orbit_rep) == c.type
             for c in classes
         ),
     }
@@ -355,7 +349,7 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
     deletion_ok = True
     for subset in itertools.combinations(nontrivial, d):
         independent = linalg.det([list(rows_by_rep[rep]) for rep in subset]) != 0
-        if deletion_criterion(og, subset) != independent:
+        if _deletion_kills_lattice(og, subset) != independent:
             deletion_ok = False
             break
     checks["deletion"] = deletion_ok

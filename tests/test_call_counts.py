@@ -1,0 +1,55 @@
+"""The analysis runs once per graph: `check` and `verify.check_graph` scan
+the Friedman-Smith bipartitions once, build the lattice X^- once and list
+the simple cycles at most once, whatever they report."""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+from helpers import FIXTURES, load_fixture
+from prymcheck import fs, homology
+from prymcheck.cli import main
+from prymcheck.verify import check_graph
+
+ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
+COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "_lattice"))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of each COUNTED function through every prymcheck
+    module that binds it."""
+    counts = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for home, name in COUNTED:
+        original = getattr(home, name)
+        wrapper = counting(name, original)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "prymcheck" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("fmt", ["structured", "human"])
+def test_check_analyses_once(calls, capsys, name, fmt):
+    assert main(["check", "--input", str(FIXTURES / f"{name}.json"), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert calls["fs_bipartitions"] == 1
+    assert calls["_lattice"] == 1
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_check_graph_analyses_once(calls, name):
+    assert check_graph(load_fixture(name)).ok
+    assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "_lattice": 1}

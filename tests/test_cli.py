@@ -235,6 +235,14 @@ class TestErrorExits:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, _, err = run(capsys, "check", "--input", str(deep))
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--input", "/does/not/exist.json")
         assert code == 2

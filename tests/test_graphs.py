@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from prymcheck.graphs import (
     auto_orient,
     bold_subgraph,
     canonical_json,
+    components,
     parse_graph,
     require_valid,
     to_document,
@@ -230,3 +232,26 @@ class TestSerialization:
     def test_orbits(self, fs4tail, square):
         assert fs4tail.edge_orbits() == (("a1", "a2"), ("b1", "b2"), ("c", "c"))
         assert square.vertex_orbits() == (("u1", "w1"), ("u2", "w2"))
+
+
+class TestComponents:
+    def test_matches_networkx_on_random_multigraphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7)
+        for _ in range(400):
+            vids = [f"v{k}" for k in range(rng.randint(1, 9))]
+            edges = [
+                OrientedEdge(f"e{k}", rng.choice(vids), rng.choice(vids))
+                for k in range(rng.randint(0, 12))
+            ]
+            edges.append(OrientedEdge("loop", vids[0], vids[0]))
+            if len(edges) > 1:
+                edges.append(OrientedEdge("parallel", edges[0].head, edges[0].tail))
+            subset = rng.sample(vids, rng.randint(0, len(vids)))
+            expected = nx.MultiGraph()
+            expected.add_nodes_from(subset)
+            expected.add_edges_from(
+                (e.tail, e.head) for e in edges if e.tail in subset and e.head in subset
+            )
+            want = sorted((frozenset(c) for c in nx.connected_components(expected)), key=min)
+            assert list(components(subset, edges)) == want

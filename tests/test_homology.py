@@ -10,6 +10,7 @@ from prymcheck.graphs import auto_orient, validate
 from prymcheck.homology import (
     Chain,
     EdgeClass,
+    analyse,
     anti_invariant_lattice,
     classification_report,
     classify_edge_by_cycles,
@@ -352,3 +353,20 @@ class TestClassificationReport:
         assert "a1 ~ a2: type 3, m = 2, G = 1, values = [1, 0]" in text
         assert "c (fixed): type 1, G = 0, values = [0, 0]" in text
         assert "doubled" in text
+
+
+class TestAnalyse:
+    def test_matches_the_public_steps(self):
+        for name in ALL_FIXTURES:
+            g = load_fixture(name)
+            og = auto_orient(g)
+            a = analyse(g)
+            assert a.graph == og
+            assert a.report == validate(og)
+            assert a.lattice == anti_invariant_lattice(og)
+            assert a.classes == classify_edges(g)
+
+    def test_rejects_invalid_graph(self):
+        g = make_graph(["a", "b"], [])
+        with pytest.raises(InvalidGraphError):
+            analyse(g)

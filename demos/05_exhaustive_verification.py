@@ -48,23 +48,25 @@ print("  -> (*) true never coexists with FS>=4, and vice versa")
 print()
 
 # run_suite streams records to disk and persists counterexamples (an
-# empty file, if all is well) plus a summary.
-out = Path(tempfile.mkdtemp()) / "suite.ndjson"
-report = run_suite(spec, out)
-print("suite over", report.n_graphs, "graphs: failed checks =", report.n_failed_checks)
-for name, (passed, failed) in report.per_check.items():
-    print(f"  {name}: {passed} pass / {failed} fail")
-print("records:", report.report_path)
-print("summary:", report.summary_path)
+# empty file, if all is well) plus a summary.  The reports go to a
+# temporary directory that is removed at the end.
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "suite.ndjson"
+    report = run_suite(spec, out)
+    print("suite over", report.n_graphs, "graphs: failed checks =", report.n_failed_checks)
+    for name, (passed, failed) in report.per_check.items():
+        print(f"  {name}: {passed} pass / {failed} fail")
+    print("records:", report.report_path)
+    print("summary:", report.summary_path)
 
-# Reruns are byte-identical, so the report files are diff-friendly.
-again = Path(tempfile.mkdtemp()) / "suite.ndjson"
-run_suite(spec, again)
-print("byte-identical rerun:", out.read_bytes() == again.read_bytes())
+    # Reruns are byte-identical, so the report files are diff-friendly.
+    again = Path(tmp) / "again.ndjson"
+    run_suite(spec, again)
+    print("byte-identical rerun:", out.read_bytes() == again.read_bytes())
 
-# The harness can fail -- a deliberately mis-scaled (**) matrix must
-# produce recorded theorem2 counterexamples.
-mutant_out = Path(tempfile.mkdtemp()) / "mutant.ndjson"
-mutant = run_suite(spec, mutant_out, mutate_starstar=True)
-print("mutant run failed checks:", mutant.n_failed_checks,
-      "(recorded in", mutant.counterexamples_path + ")")
+    # The harness can fail -- a deliberately mis-scaled (**) matrix must
+    # produce recorded theorem2 counterexamples.
+    mutant_out = Path(tmp) / "mutant.ndjson"
+    mutant = run_suite(spec, mutant_out, mutate_starstar=True)
+    print("mutant run failed checks:", mutant.n_failed_checks,
+          "(recorded in", mutant.counterexamples_path + ")")

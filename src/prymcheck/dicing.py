@@ -282,7 +282,7 @@ def _deletion_kills_lattice(og: EquivariantGraph, reps) -> bool:
         ),
         oriented=True,
     )
-    return linalg.rank(_anti_rows(deleted)) == 0
+    return not any(any(row) for row in _anti_rows(deleted))
 
 
 def dicing_report(verdict: DicingVerdict) -> str:

@@ -91,11 +91,12 @@ def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
     emap = g.involution.edges
     out = []
     full = (1 << len(orbits)) - 1
+    all_vertices = frozenset(g.vertex_ids)
     for mask in range(1, full, 2):
         part1 = frozenset(
             v for bit, orbit in enumerate(orbits) if mask >> bit & 1 for v in orbit
         )
-        part2 = frozenset(g.vertex_ids) - part1
+        part2 = all_vertices - part1
         if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
             continue
         crossing = _crossings(g, part1)

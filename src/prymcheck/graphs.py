@@ -80,16 +80,11 @@ class EquivariantGraph:
     oriented: bool = False
 
     def __post_init__(self):
+        # Sorted from the stored tuples, so repeated ids stay visible.
+        object.__setattr__(self, "vertex_ids", tuple(sorted(v.id for v in self.vertices)))
+        object.__setattr__(self, "edge_ids", tuple(sorted(e.id for e in self.edges)))
         object.__setattr__(self, "_vertex_by_id", {v.id: v for v in self.vertices})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in self.edges})
-
-    @property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(v.id for v in self.vertices))
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(e.id for e in self.edges))
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertex_by_id[vid]
@@ -112,27 +107,23 @@ class EquivariantGraph:
     def vertex_orbits(self) -> tuple[tuple[str, str], ...]:
         """Involution orbits on vertices as (rep, partner), rep <= partner,
         sorted by rep; rep == partner exactly for fixed vertices."""
-        seen = set()
-        orbits = []
-        for vid in self.vertex_ids:
-            if vid in seen:
-                continue
-            other = self.involution.vertices[vid]
-            seen.update((vid, other))
-            orbits.append((vid, other) if vid <= other else (other, vid))
-        return tuple(sorted(orbits))
+        return _orbits(self.vertex_ids, self.involution.vertices)
 
     def edge_orbits(self) -> tuple[tuple[str, str], ...]:
         """Involution orbits on edges, same conventions as vertex_orbits."""
-        seen = set()
-        orbits = []
-        for eid in self.edge_ids:
-            if eid in seen:
-                continue
-            other = self.involution.edges[eid]
-            seen.update((eid, other))
-            orbits.append((eid, other) if eid <= other else (other, eid))
-        return tuple(sorted(orbits))
+        return _orbits(self.edge_ids, self.involution.edges)
+
+
+def _orbits(ids, mapping) -> tuple[tuple[str, str], ...]:
+    seen = set()
+    orbits = []
+    for x in ids:
+        if x in seen:
+            continue
+        other = mapping[x]
+        seen.update((x, other))
+        orbits.append((x, other) if x <= other else (other, x))
+    return tuple(sorted(orbits))
 
 
 @dataclass(frozen=True)
@@ -347,16 +338,16 @@ def validate(g: EquivariantGraph) -> ValidationReport:
 
     structural_ok = not violations
     if structural_ok:
-        for vid in sorted(vids):
+        for vid in g.vertex_ids:
             if vmap[vmap[vid]] != vid:
                 violations.append(("vertex-map-not-involution", f"i(i({vid!r})) != {vid!r}"))
-        for eid in sorted(eids):
+        for eid in g.edge_ids:
             if emap[emap[eid]] != eid:
                 violations.append(("edge-map-not-involution", f"i(i({eid!r})) != {eid!r}"))
         for e in g.edges:
             partner = g.edge(emap[e.id])
-            expected = sorted((vmap[e.tail], vmap[e.head]))
-            if sorted((partner.tail, partner.head)) != expected:
+            a, b = vmap[e.tail], vmap[e.head]
+            if (partner.tail, partner.head) not in ((a, b), (b, a)):
                 violations.append(
                     ("edge-map-incidence", f"edge {e.id!r}: partner {partner.id!r} does not join the image endpoints")
                 )

@@ -73,30 +73,11 @@ class Chain:
     def __getitem__(self, edge_id: str) -> int:
         return self.coords.get(edge_id, 0)
 
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def vector(self, edge_ids) -> list[int]:
         return [self.coords.get(e, 0) for e in edge_ids]
 
-    def __add__(self, other: "Chain") -> "Chain":
-        merged = dict(self.coords)
-        for k, v in other.coords.items():
-            merged[k] = merged.get(k, 0) + v
-        return Chain(merged)
-
     def __neg__(self) -> "Chain":
         return Chain({k: -v for k, v in self.coords.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
-    def scale(self, factor: int) -> "Chain":
-        return Chain({k: factor * v for k, v in self.coords.items()})
 
 
 @dataclass(frozen=True)
@@ -165,8 +146,9 @@ def _adjacency(g: EquivariantGraph):
 
 
 def _cycle_data(g: EquivariantGraph):
-    """BFS forest plus fundamental chord chains (doubled units).  Works on
-    disconnected graphs (one tree per component)."""
+    """BFS forest plus one fundamental chord cycle per chord, each a plain
+    {edge id: doubled coordinate} dict.  Works on disconnected graphs (one
+    tree per component)."""
     adj = _adjacency(g)
     path = {}
     tree = set()
@@ -185,7 +167,7 @@ def _cycle_data(g: EquivariantGraph):
                 path[w] = step
                 tree.add(eid)
                 queue.append(w)
-    chains = []
+    cycles = []
     for eid in g.edge_ids:
         if eid in tree:
             continue
@@ -195,8 +177,8 @@ def _cycle_data(g: EquivariantGraph):
             coords[k] = coords.get(k, 0) + v
         for k, v in path[e.head].items():
             coords[k] = coords.get(k, 0) - v
-        chains.append(Chain({k: 2 * v for k, v in coords.items()}))
-    return chains, tree
+        cycles.append({k: 2 * v for k, v in coords.items()})
+    return cycles, tree
 
 
 def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
@@ -206,8 +188,8 @@ def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
     graph the basis has #edges - #vertices + 1 chains.
     """
     _require_oriented(g)
-    chains, tree = _cycle_data(g)
-    return CycleBasis(tuple(chains), frozenset(tree))
+    cycles, tree = _cycle_data(g)
+    return CycleBasis(tuple(Chain(c) for c in cycles), frozenset(tree))
 
 
 def involution_on_chain(g: EquivariantGraph, chain: Chain) -> Chain:
@@ -266,14 +248,14 @@ def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
 
 def _anti_rows(g: EquivariantGraph):
     """Generator rows of X^- (doubled units) over sorted edge-id columns."""
-    chains, _ = _cycle_data(g)
-    edge_ids = list(g.edge_ids)
+    cycles, _ = _cycle_data(g)
+    emap = g.involution.edges
     rows = []
-    for omega in chains:
-        image = involution_on_chain(g, omega)
+    for omega in cycles:
         row = []
-        for eid in edge_ids:
-            diff = omega[eid] - image[eid]
+        for eid in g.edge_ids:
+            # The image of omega at eid is omega at i(eid).
+            diff = omega.get(eid, 0) - omega.get(emap[eid], 0)
             if diff % 2:
                 raise RuntimeError(
                     f"edge {eid!r}: a cycle and its image differ by the odd "

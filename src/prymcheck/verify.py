@@ -327,7 +327,7 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
         "theorem2_ii_iii": starstar == (star and not has_type2),
         "rank": d == report.n_e - report.c_e,
         "antisymmetry": all(
-            involution_on_chain(og, chain) == chain.scale(-1)
+            involution_on_chain(og, chain) == -chain
             for chain in lattice.basis
         ),
         "gcd_bound": all(v in (0, 1, 2) for v in lattice.edge_gcds.values())

@@ -1,6 +1,7 @@
 """The analysis runs once per graph: `check` and `verify.check_graph` scan
 the Friedman-Smith bipartitions once, build the lattice X^- once and list
-the simple cycles at most once, whatever they report."""
+the simple cycles at most once, whatever they report, and `check_graph`
+computes an HNF only for the lattice and the two functional matrices."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from collections import Counter
 import pytest
 
 from helpers import FIXTURES, load_fixture
-from prymcheck import fs, homology
+from prymcheck import fs, homology, linalg
 from prymcheck.cli import main
 from prymcheck.verify import check_graph
 
@@ -22,6 +23,15 @@ COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "_la
 def calls(monkeypatch):
     """Counts calls of each COUNTED function through every prymcheck
     module that binds it."""
+    return _count(monkeypatch, COUNTED)
+
+
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    return _count(monkeypatch, ((linalg, "hnf_rows"),))
+
+
+def _count(monkeypatch, targets):
     counts = Counter()
 
     def counting(name, original):
@@ -31,7 +41,7 @@ def calls(monkeypatch):
 
         return counted
 
-    for home, name in COUNTED:
+    for home, name in targets:
         original = getattr(home, name)
         wrapper = counting(name, original)
         for modname, mod in list(sys.modules.items()):
@@ -53,3 +63,11 @@ def test_check_analyses_once(calls, capsys, name, fmt):
 def test_check_graph_analyses_once(calls, name):
     assert check_graph(load_fixture(name)).ok
     assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "_lattice": 1}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_check_graph_runs_three_hnfs(hnf_calls, name):
+    # The lattice and the rank checks of the (*) and (**) matrices; the
+    # deletion cross-check tests for a zero matrix without an HNF.
+    assert check_graph(load_fixture(name)).ok
+    assert hnf_calls["hnf_rows"] == 3

@@ -136,6 +136,21 @@ class TestValidate:
         assert validate(dataclasses.replace(bad, oriented=False)).ok
 
 
+class TestIds:
+    def test_sorted_once_at_construction(self):
+        for name in ALL_FIXTURES:
+            g = load_fixture(name)
+            assert g.vertex_ids == tuple(sorted(v.id for v in g.vertices))
+            assert g.edge_ids == tuple(sorted(e.id for e in g.edges))
+            assert g.vertex_ids is g.vertex_ids and g.edge_ids is g.edge_ids
+
+    def test_duplicate_ids_stay_visible(self):
+        g = make_graph(["v2", "v1", "v2"], [("e", "v1", "v2"), ("e", "v2", "v1")])
+        assert g.vertex_ids == ("v1", "v2", "v2")
+        assert g.edge_ids == ("e", "e")
+        assert {"duplicate-vertex-id", "duplicate-edge-id"} <= violation_codes(g)
+
+
 class TestAutoOrient:
     def test_reorients_partner(self, fs2):
         variant = dataclasses.replace(

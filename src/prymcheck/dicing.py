@@ -223,20 +223,19 @@ def dicing_bruteforce(
 ) -> bool:
     """Definitional check: for every nonsingular d-subset and every unit
     right-hand side, the rational solution must be a lattice point
-    (integral coordinates in the lattice basis).  No minors involved."""
+    (integral coordinates in the lattice basis).  The solutions for all d
+    unit right-hand sides are the columns of the submatrix's inverse, found
+    by one elimination per subset.  No minors involved."""
     if m.d > max_d:
         raise CapExceededError(f"bruteforce dicing capped at d <= {max_d}")
     if m.d == 0:
         return True
     for subset in itertools.combinations(range(len(m.rows)), m.d):
-        submatrix = [list(m.rows[i][1]) for i in subset]
-        for r in range(m.d):
-            rhs = [1 if k == r else 0 for k in range(m.d)]
-            coeffs = linalg.solve(submatrix, rhs)
-            if coeffs is None:
-                break
-            if any(c.denominator != 1 for c in coeffs):
-                return False
+        inv = linalg.inverse([list(m.rows[i][1]) for i in subset])
+        if inv is None:
+            continue
+        if any(c.denominator != 1 for row in inv for c in row):
+            return False
     return True
 
 

@@ -79,10 +79,14 @@ def det(m):
     return sign * a[-1][-1]
 
 
-def solve(m, rhs):
-    """Solve the square system m x = rhs over Q; None if m is singular."""
+def _gauss_jordan(m, right):
+    """Reduce [m | right] over Q until m becomes the identity; returns what
+    right has become (m^-1 right), or None if the square m is singular."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
+    a = [
+        [Fraction(x) for x in row] + [Fraction(y) for y in extra]
+        for row, extra in zip(m, right)
+    ]
     for c in range(n):
         piv = next((k for k in range(c, n) if a[k][c]), None)
         if piv is None:
@@ -94,7 +98,21 @@ def solve(m, rhs):
             if i != c and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
+    return [row[n:] for row in a]
+
+
+def solve(m, rhs):
+    """Solve the square system m x = rhs over Q; None if m is singular."""
+    x = _gauss_jordan(m, [[v] for v in rhs])
+    return None if x is None else [row[0] for row in x]
+
+
+def inverse(m):
+    """Inverse of the square matrix m over Q, as rows of Fractions; None if
+    m is singular.  One elimination serves all n unit right-hand sides:
+    column r is solve(m, e_r)."""
+    n = len(m)
+    return _gauss_jordan(m, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def span_coords(echelon_rows, vec):

@@ -57,7 +57,8 @@ __all__ = [
     "ORACLE_MAX_D",
 ]
 
-# Brute-force canonical labeling walks all vertex permutations.
+# Canonical labeling walks f! * m! * 2^m labelings for f fixed vertices and
+# m exchanged pairs: n! when every vertex is fixed.
 MAX_DEDUP_VERTICES = 8
 
 # The definitional dicing oracle is only consulted up to this rank.
@@ -187,53 +188,80 @@ def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph:
 
 
 def isomorphism_key(g: EquivariantGraph):
-    """Canonical form under equivariant isomorphism, by brute force.
+    """Canonical form of a valid graph under equivariant isomorphism.
 
-    Minimizes, over all vertex relabelings to 0..n-1, the triple
+    The minimum, over all vertex relabelings to 0..n-1, of the triple
     (involution as a permutation, sorted bold endpoint pairs, sorted
     exchanged-orbit endpoint pairs normalized within each orbit).  Two
     graphs get the same key exactly when some vertex bijection matches
     the involutions and both edge multisets.
+
+    The involution is compared first, and its least value is
+    (0, ..., f-1, f+1, f, f+3, f+2, ...) for f fixed vertices and m
+    exchanged pairs.  Only the labelings that put the fixed vertices
+    first and each pair on two consecutive positions reach it, so only
+    those are walked: the fixed vertices in any order, the pairs in any
+    order and each pair either way round, f! * m! * 2^m labelings in all
+    instead of n!.  The worst case, every vertex fixed, is still n!.
     """
     n = len(g.vertices)
     if n > MAX_DEDUP_VERTICES:
         raise CapExceededError(
-            f"canonical labeling walks n! permutations; refusing n = {n} > "
+            f"canonical labeling walks f! * m! * 2^m labelings (n! when all "
+            f"n vertices are fixed); refusing n = {n} > "
             f"{MAX_DEDUP_VERTICES} vertices"
         )
     ids = g.vertex_ids
-    vmap = g.involution.vertices
+    index = {vid: k for k, vid in enumerate(ids)}
+    vmap = [index[g.vmap(vid)] for vid in ids]
+    fixed = [k for k in range(n) if vmap[k] == k]
+    pairs = [(k, vmap[k]) for k in range(n) if vmap[k] > k]
     bold_ends = []
     orbit_ends = []
     seen = set()
     for e in g.edges:
+        x, y = index[e.tail], index[e.head]
         if g.is_bold_edge(e.id):
-            bold_ends.append((e.tail, e.head))
+            bold_ends.append((x, y))
         elif e.id not in seen:
             seen.update((e.id, g.emap(e.id)))
-            orbit_ends.append((e.tail, e.head))
+            orbit_ends.append((x, y, vmap[x], vmap[y]))
+    f = len(fixed)
+    tau = tuple(range(f)) + tuple(f + (k ^ 1) for k in range(n - f))
+    pos = [0] * n
     best = None
-    for perm in itertools.permutations(range(n)):
-        pos = dict(zip(ids, perm))
-        tau = [0] * n
-        for vid in ids:
-            tau[pos[vid]] = pos[vmap[vid]]
+    for fixed_order in itertools.permutations(fixed):
+        for p, v in enumerate(fixed_order):
+            pos[v] = p
+        # Bold edges join fixed vertices, so the pair order cannot move them.
         bold_key = tuple(
-            sorted(tuple(sorted((pos[x], pos[y]))) for x, y in bold_ends)
-        )
-        orbit_key = tuple(
             sorted(
-                min(
-                    tuple(sorted((pos[x], pos[y]))),
-                    tuple(sorted((pos[vmap[x]], pos[vmap[y]]))),
-                )
-                for x, y in orbit_ends
+                (pos[x], pos[y]) if pos[x] <= pos[y] else (pos[y], pos[x])
+                for x, y in bold_ends
             )
         )
-        key = (tuple(tau), bold_key, orbit_key)
-        if best is None or key < best:
-            best = key
-    return (n, best)
+        for pair_order in itertools.permutations(pairs):
+            for flips in itertools.product((False, True), repeat=len(pairs)):
+                p = f
+                for (a, b), flip in zip(pair_order, flips):
+                    if flip:
+                        a, b = b, a
+                    pos[a] = p
+                    pos[b] = p + 1
+                    p += 2
+                orbit_key = tuple(
+                    sorted(
+                        min(
+                            (pos[x], pos[y]) if pos[x] <= pos[y] else (pos[y], pos[x]),
+                            (pos[u], pos[w]) if pos[u] <= pos[w] else (pos[w], pos[u]),
+                        )
+                        for x, y, u, w in orbit_ends
+                    )
+                )
+                key = (bold_key, orbit_key)
+                if best is None or key < best:
+                    best = key
+    return (n, (tau,) + best)
 
 
 def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:

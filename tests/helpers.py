@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -75,3 +76,42 @@ def fs_chain(n_pairs, tail_edges=0):
         vertices.append(f"v{t + 3}")
         edges.append((f"t{t + 1}", f"v{t + 2}", f"v{t + 3}"))
     return make_graph(vertices, edges, eswaps=eswaps)
+
+
+def reference_isomorphism_key(g: EquivariantGraph):
+    """Test oracle for `verify.isomorphism_key`: the same minimum, taken by
+    brute force over all n! vertex relabelings to 0..n-1."""
+    n = len(g.vertices)
+    ids = g.vertex_ids
+    vmap = g.involution.vertices
+    bold_ends = []
+    orbit_ends = []
+    seen = set()
+    for e in g.edges:
+        if g.is_bold_edge(e.id):
+            bold_ends.append((e.tail, e.head))
+        elif e.id not in seen:
+            seen.update((e.id, g.emap(e.id)))
+            orbit_ends.append((e.tail, e.head))
+    best = None
+    for perm in itertools.permutations(range(n)):
+        pos = dict(zip(ids, perm))
+        tau = [0] * n
+        for vid in ids:
+            tau[pos[vid]] = pos[vmap[vid]]
+        bold_key = tuple(
+            sorted(tuple(sorted((pos[x], pos[y]))) for x, y in bold_ends)
+        )
+        orbit_key = tuple(
+            sorted(
+                min(
+                    tuple(sorted((pos[x], pos[y]))),
+                    tuple(sorted((pos[vmap[x]], pos[vmap[y]]))),
+                )
+                for x, y in orbit_ends
+            )
+        )
+        key = (tuple(tau), bold_key, orbit_key)
+        if best is None or key < best:
+            best = key
+    return (n, best)

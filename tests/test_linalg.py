@@ -4,7 +4,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from prymcheck.linalg import det, hnf_rows, in_lattice, rank, solve, span_coords
+from prymcheck.linalg import (
+    det,
+    hnf_rows,
+    in_lattice,
+    inverse,
+    rank,
+    solve,
+    span_coords,
+)
 
 
 def leibniz_det(m):
@@ -103,6 +111,21 @@ def test_solve_roundtrip_and_singularity():
         else:
             for i in range(n):
                 assert sum(Fraction(a[i][j]) * x[j] for j in range(n)) == rhs[i]
+
+
+def test_inverse_columns_are_unit_solutions():
+    rng = random.Random(56)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = random_matrix(rng, n, n, -3, 3)
+        inv = inverse(a)
+        if inv is None:
+            assert leibniz_det(a) == 0
+            continue
+        for r in range(n):
+            unit = [int(k == r) for k in range(n)]
+            assert [row[r] for row in inv] == solve(a, unit)
+            assert [sum(a[i][j] * inv[j][r] for j in range(n)) for i in range(n)] == unit
 
 
 def test_span_coords_and_membership():

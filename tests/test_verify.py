@@ -5,9 +5,15 @@ import random
 
 import pytest
 
-from helpers import fs_chain, load_fixture, make_graph, relabel
+from helpers import (
+    fs_chain,
+    load_fixture,
+    make_graph,
+    reference_isomorphism_key,
+    relabel,
+)
 from prymcheck.errors import CapExceededError
-from prymcheck.graphs import canonical_json
+from prymcheck.graphs import canonical_json, validate
 from prymcheck.verify import (
     GenSpec,
     check_graph,
@@ -119,6 +125,20 @@ class TestIsomorphismKey:
         )
         assert isomorphism_key(banana_fixed) != isomorphism_key(load_fixture("fs2"))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(dedup=False),
+            GenSpec(max_vertex_pairs=2, max_edge_orbits=3, dedup=False),
+        ],
+        ids=["default", "two-pairs"],
+    )
+    def test_equals_reference_key(self, spec):
+        graphs = list(enumerate_graphs(spec))
+        assert len(graphs) == {1: 487, 2: 249}[spec.max_vertex_pairs]
+        for g in graphs:
+            assert isomorphism_key(g) == reference_isomorphism_key(g)
+
     def test_vertex_cap(self):
         path = make_graph(
             [f"w{k}" for k in range(9)],
@@ -126,6 +146,129 @@ class TestIsomorphismKey:
         )
         with pytest.raises(CapExceededError):
             isomorphism_key(path)
+
+
+LAYOUTS = [(1, 3), (3, 2), (0, 4), (2, 3), (4, 2), (7, 0)]
+
+
+def _layout(n_fixed, n_pairs):
+    fixed = [f"f{k}" for k in range(n_fixed)]
+    pairs = [(f"p{k}a", f"p{k}b") for k in range(n_pairs)]
+    vmap = {v: v for v in fixed}
+    for a, b in pairs:
+        vmap[a], vmap[b] = b, a
+    return fixed, pairs, vmap
+
+
+def _build(n_fixed, n_pairs, bold, orbits):
+    """Graph on the layout from bold endpoint pairs and one endpoint pair
+    per exchanged orbit (its partner edge is the image under the involution)."""
+    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
+    edges = [(f"s{k}", x, y) for k, (x, y) in enumerate(bold)]
+    eswaps = []
+    for k, (x, y) in enumerate(orbits):
+        edges += [(f"e{k}a", x, y), (f"e{k}b", vmap[x], vmap[y])]
+        eswaps.append((f"e{k}a", f"e{k}b"))
+    return make_graph(fixed + [v for ab in pairs for v in ab], edges, pairs, eswaps)
+
+
+def _random_orbits(rng, n_fixed, n_pairs):
+    """Random bold and exchanged edge orbits of a connected valid graph."""
+    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
+    ids = list(vmap)
+    while True:
+        bold = [
+            tuple(rng.choice(fixed) for _ in range(2))
+            for _ in range(rng.randint(0, n_fixed + 1) if fixed else 0)
+        ]
+        orbits = [
+            tuple(rng.choice(ids) for _ in range(2))
+            for _ in range(rng.randint(n_pairs, n_pairs + 3))
+        ]
+        if validate(_build(n_fixed, n_pairs, bold, orbits)).ok:
+            return bold, orbits
+
+
+def _random_family(rng, n_fixed, n_pairs):
+    """A random graph, a copy moved by a random equivariant vertex bijection
+    (isomorphic, same ids), and a copy with one edge orbit moved (mostly
+    not isomorphic)."""
+    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
+    bold, orbits = _random_orbits(rng, n_fixed, n_pairs)
+    sigma = dict(zip(fixed, rng.sample(fixed, len(fixed))))
+    for (a, b), (c, d) in zip(pairs, rng.sample(pairs, len(pairs))):
+        if rng.random() < 0.5:
+            c, d = d, c
+        sigma[a], sigma[b] = c, d
+    moved = _build(
+        n_fixed,
+        n_pairs,
+        [(sigma[x], sigma[y]) for x, y in bold],
+        [(sigma[x], sigma[y]) for x, y in orbits],
+    )
+    mutant = None
+    while mutant is None or not validate(mutant).ok:
+        changed = [list(bold), list(orbits)]
+        k = rng.choice([k for k in (0, 1) if changed[k]])
+        ends = fixed if k == 0 else list(vmap)
+        changed[k][rng.randrange(len(changed[k]))] = (rng.choice(ends), rng.choice(ends))
+        mutant = _build(n_fixed, n_pairs, *changed)
+    return [_build(n_fixed, n_pairs, bold, orbits), moved, mutant]
+
+
+def _networkx_encoding(nx, g):
+    """Simple graph carrying the involution: a fixed flag per vertex, a
+    'partner' edge joining each exchanged pair, and per vertex pair the
+    sorted kinds ('bold' or 'exchanged') of the edges joining it."""
+    kinds = {}
+    for a, b in g.vertex_orbits():
+        if a != b:
+            kinds.setdefault(tuple(sorted((a, b))), []).append("partner")
+    for e in g.edges:
+        kind = "bold" if g.is_bold_edge(e.id) else "exchanged"
+        kinds.setdefault(tuple(sorted((e.tail, e.head))), []).append(kind)
+    h = nx.Graph()
+    for vid in g.vertex_ids:
+        h.add_node(vid, fixed=g.is_bold_vertex(vid))
+    for (x, y), ks in kinds.items():
+        h.add_edge(x, y, kinds=tuple(sorted(ks)))
+    return h
+
+
+class TestIsomorphismKeyLarge:
+    """Seven and eight vertices, where the n! reference is too slow for
+    the suite: relabelling invariance, and networkx isomorphism as oracle."""
+
+    def test_relabelled_copies_get_equal_keys(self):
+        rng = random.Random(11)
+        for n_fixed, n_pairs in LAYOUTS:
+            for _ in range(3):
+                g = _build(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
+                key = isomorphism_key(g)
+                for _ in range(3):
+                    assert isomorphism_key(relabel(g, rng)) == key
+
+    def test_equal_keys_exactly_when_isomorphic(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        outcomes = set()
+        for n_fixed, n_pairs in LAYOUTS:
+            pool = []
+            for _ in range(4):
+                pool += _random_family(rng, n_fixed, n_pairs)
+            keys = [isomorphism_key(g) for g in pool]
+            encodings = [_networkx_encoding(nx, g) for g in pool]
+            for i in range(len(pool)):
+                for j in range(i + 1, len(pool)):
+                    iso = nx.is_isomorphic(
+                        encodings[i],
+                        encodings[j],
+                        node_match=lambda a, b: a["fixed"] == b["fixed"],
+                        edge_match=lambda a, b: a["kinds"] == b["kinds"],
+                    )
+                    assert (keys[i] == keys[j]) == iso, (n_fixed, n_pairs, i, j)
+                    outcomes.add(iso)
+        assert outcomes == {True, False}
 
 
 class TestCheckGraph:

@@ -31,14 +31,13 @@ from .dicing import (
     star_matrix,
     star_star_matrix,
 )
-from .errors import CapExceededError, GraphFormatError, InvalidGraphError
+from .errors import CapExceededError, InvalidGraphError
 from .fs import (
     FSWitness,
     _fs_text,
     _strongest,
     fs_bipartitions,
     fs_component_genera,
-    fs_report,
 )
 from .graphs import load_graph
 from .homology import _classification_text, analyse
@@ -115,9 +114,13 @@ def cmd_check(args) -> int:
     star_verdict = is_dicing(star_matrix(a.lattice, a.classes))
     starstar_verdict = is_dicing(star_star_matrix(a.lattice, a.classes))
     indeterminacy = not star_verdict.is_dicing
+    # The headline comes from (*), so a capped FS search is skipped, not fatal.
+    try:
+        witnesses, skipped = fs_bipartitions(og), None
+    except CapExceededError as exc:
+        witnesses, skipped = None, str(exc)
 
     if args.format == "structured":
-        witnesses = fs_bipartitions(og)
         _emit_structured(
             {
                 "command": "check",
@@ -135,7 +138,9 @@ def cmd_check(args) -> int:
                 "fs": {
                     "min2": _fs_obj(_strongest(witnesses, 2)),
                     "min4": _fs_obj(_strongest(witnesses, 4)),
-                },
+                }
+                if skipped is None
+                else {"skipped": True, "reason": skipped},
                 "indeterminacy": indeterminacy,
             },
             args.output,
@@ -148,7 +153,9 @@ def cmd_check(args) -> int:
         _classification_text(a),
         dicing_report(star_verdict),
         dicing_report(starstar_verdict),
-        fs_report(og),
+        _fs_text(witnesses)
+        if skipped is None
+        else f"friedman-smith search skipped: {skipped}",
         f"indeterminacy: {'YES' if indeterminacy else 'NO'}",
     ]
     _emit("\n".join(lines), args.output)
@@ -206,23 +213,24 @@ def cmd_verify(args) -> int:
     )
     report = run_suite(spec, args.output, mutate_starstar=args.mutant_starstar)
     if args.format == "structured":
-        payload = {
-            "command": "verify",
-            "spec": dataclasses.asdict(spec),
-            "graphs": report.n_graphs,
-            "failed_graphs": report.n_failed_graphs,
-            "failed_checks": report.n_failed_checks,
-            "per_check": {
-                name: {"pass": p, "fail": f}
-                for name, (p, f) in report.per_check.items()
+        _emit_structured(
+            {
+                "command": "verify",
+                "spec": dataclasses.asdict(spec),
+                "graphs": report.n_graphs,
+                "failed_graphs": report.n_failed_graphs,
+                "failed_checks": report.n_failed_checks,
+                "per_check": {
+                    name: {"pass": p, "fail": f}
+                    for name, (p, f) in report.per_check.items()
+                },
+                "ok": report.ok,
+                "report_path": report.report_path,
+                "counterexamples_path": report.counterexamples_path,
+                "summary_path": report.summary_path,
             },
-            "ok": report.ok,
-            "report_path": report.report_path,
-            "counterexamples_path": report.counterexamples_path,
-            "summary_path": report.summary_path,
-        }
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                         sort_keys=True, indent=2))
+            None,
+        )
     else:
         print(f"graphs checked: {report.n_graphs}")
         for name, (passed, failed) in report.per_check.items():
@@ -272,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="graph document (json)")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="graph document (json)")
         p.add_argument("--output", default=None, help="write the result here instead of stdout")
         p.add_argument(
             "--format", choices=("human", "structured"), default="human"
@@ -348,19 +355,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvalidGraphError as exc:
         print(f"error: invalid graph: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,7 @@ from .graphs import (
     OrientedEdge,
     Vertex,
     canonical_json,
+    components,
     validate,
 )
 from .homology import _cycle_type, analyse, involution_on_chain, simple_cycles
@@ -170,8 +171,7 @@ def _edge_slots(ids, vmap, allow_loops: bool):
     return bold_slots, pair_slots
 
 
-def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph:
-    vertices = tuple(Vertex(v) for v in ids)
+def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
     edges = []
     emap = {}
     for k, (x, y) in enumerate(bold_choice, start=1):
@@ -184,6 +184,9 @@ def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph:
         edges.append(OrientedEdge(second, vmap[x], vmap[y]))
         emap[first] = second
         emap[second] = first
+    if len(components(ids, edges)) != 1:
+        return None
+    vertices = tuple(Vertex(v) for v in ids)
     return EquivariantGraph(vertices, tuple(edges), Involution(dict(vmap), emap))
 
 
@@ -299,17 +302,14 @@ def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
                             pair_slots, n_pair
                         ):
                             g = _assemble(ids, vmap, bold_choice, pair_choice)
+                            if g is None:
+                                continue
                             report = validate(g)
                             if not report.ok:
-                                if any(
-                                    code != "not-connected"
-                                    for code, _ in report.violations
-                                ):
-                                    raise RuntimeError(
-                                        "enumeration produced an invalid graph: "
-                                        f"{report.violations}"
-                                    )
-                                continue
+                                raise RuntimeError(
+                                    "enumeration produced an invalid graph: "
+                                    f"{report.violations}"
+                                )
                             if spec.dedup:
                                 key = isomorphism_key(g)
                                 if key in seen_keys:

@@ -1,7 +1,8 @@
 """The analysis runs once per graph: `check` and `verify.check_graph` scan
 the Friedman-Smith bipartitions once, build the lattice X^- once and list
 the simple cycles at most once, whatever they report, and `check_graph`
-computes an HNF only for the lattice and the two functional matrices."""
+computes an HNF only for the lattice and the two functional matrices.
+`enumerate_graphs` validates only the connected candidates it emits."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from collections import Counter
 import pytest
 
 from helpers import FIXTURES, load_fixture
-from prymcheck import fs, homology, linalg
+from prymcheck import fs, graphs, homology, linalg
 from prymcheck.cli import main
-from prymcheck.verify import check_graph
+from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "_lattice"))
@@ -71,3 +72,11 @@ def test_check_graph_runs_three_hnfs(hnf_calls, name):
     # deletion cross-check tests for a zero matrix without an HNF.
     assert check_graph(load_fixture(name)).ok
     assert hnf_calls["hnf_rows"] == 3
+
+
+def test_enumeration_validates_each_emitted_graph_once(monkeypatch):
+    # Disconnected edge choices are dropped before a graph is built, so
+    # without dedup every validated candidate is emitted.
+    validate_calls = _count(monkeypatch, ((graphs, "validate"),))
+    assert sum(1 for _ in enumerate_graphs(GenSpec(dedup=False))) == 487
+    assert validate_calls["validate"] == 487

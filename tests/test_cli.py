@@ -100,6 +100,58 @@ class TestCheck:
         assert "multiply by 1/2" in witness["units"]
 
 
+def ring_path(tmp_path, n):
+    """n fixed vertices in a ring, neighbours joined by an exchanged pair."""
+    vertices = [f"u{k}" for k in range(n)]
+    edges, eswaps = [], {}
+    for k in range(n):
+        x, y = vertices[k], vertices[(k + 1) % n]
+        edges += [{"id": f"e{k}a", "from": x, "to": y}, {"id": f"e{k}b", "from": x, "to": y}]
+        eswaps.update({f"e{k}a": f"e{k}b", f"e{k}b": f"e{k}a"})
+    doc = {
+        "vertices": [{"id": v} for v in vertices],
+        "edges": edges,
+        "involution": {"vertices": {v: v for v in vertices}, "edges": eswaps},
+    }
+    path = tmp_path / f"ring{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCheckPastFSCap:
+    """25 vertex orbits exceed the FS cap of 20, but (*) is one minor: the
+    headline still comes from (*) and FS is reported as skipped."""
+
+    CAP_MESSAGE = "25 vertex orbits exceed the cap 20"
+
+    def test_human(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", "--input", ring_path(tmp_path, 25))
+        assert code == 0
+        assert err == ""
+        assert f"friedman-smith search skipped: {self.CAP_MESSAGE}" in out
+        assert "condition (*): FAILS" in out
+        assert out.endswith("indeterminacy: YES\n")
+
+    def test_structured(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "check", "--input", ring_path(tmp_path, 25), "--format", "structured"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fs"] == {"skipped": True, "reason": self.CAP_MESSAGE}
+        assert payload["conditions"]["star"]["holds"] is False
+        assert payload["indeterminacy"] is True
+
+    @pytest.mark.parametrize("fmt", ["human", "structured"])
+    def test_fs_still_exits_three(self, capsys, tmp_path, fmt):
+        code, out, err = run(
+            capsys, "fs", "--input", ring_path(tmp_path, 25), "--format", fmt
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {self.CAP_MESSAGE}\n"
+
+
 class TestClassify:
     def test_human(self, capsys):
         code, out, _ = run(capsys, "classify", "--input", fixture_path("fs4tail"))

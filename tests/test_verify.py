@@ -271,6 +271,20 @@ class TestIsomorphismKeyLarge:
         assert outcomes == {True, False}
 
 
+class TestCheckGraphLarge:
+    """Random connected graphs on seven and eight vertices, past the
+    exhaustive grids, pass every check, the dicing oracle included."""
+
+    def test_random_graphs_pass_every_check(self):
+        rng = random.Random(3)
+        for n_fixed, n_pairs in LAYOUTS:
+            for _ in range(20):
+                g = _build(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
+                record = check_graph(g)
+                assert "oracle_dicing" in record.checks
+                assert record.ok, (canonical_json(g), record.failing_checks())
+
+
 class TestCheckGraph:
     def test_fs4(self, fs4):
         record = check_graph(fs4)

@@ -276,7 +276,7 @@ def _deletion_kills_lattice(og: EquivariantGraph, reps) -> bool:
         og.vertices,
         remaining_edges,
         Involution(
-            dict(og.involution.vertices),
+            og.involution.vertices,
             {k: v for k, v in emap.items() if k not in removed},
         ),
         oriented=True,

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from .errors import GraphFormatError, InvalidGraphError
 
@@ -64,15 +66,21 @@ class OrientedEdge:
 
 @dataclass(frozen=True)
 class Involution:
-    """The involution as total maps on vertex ids and edge ids."""
+    """The involution as total maps on vertex ids and edge ids, kept as
+    read-only copies of the maps passed in."""
 
-    vertices: dict[str, str]
-    edges: dict[str, str]
+    vertices: Mapping[str, str]
+    edges: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", MappingProxyType(dict(self.vertices)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
 
 
 @dataclass(frozen=True)
 class EquivariantGraph:
-    """A multigraph together with an involution; see the module docstring."""
+    """A multigraph with an involution (see the module docstring).  A graph
+    is a value: no part of it can change, so validate stores its report."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[OrientedEdge, ...]
@@ -85,6 +93,7 @@ class EquivariantGraph:
         object.__setattr__(self, "edge_ids", tuple(sorted(e.id for e in self.edges)))
         object.__setattr__(self, "_vertex_by_id", {v.id: v for v in self.vertices})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in self.edges})
+        object.__setattr__(self, "_report", None)
 
     def vertex(self, vid: str) -> Vertex:
         return self._vertex_by_id[vid]
@@ -308,7 +317,11 @@ def validate(g: EquivariantGraph) -> ValidationReport:
     dangling-endpoint, vertex-map-domain, edge-map-domain,
     vertex-map-not-involution, edge-map-not-involution, edge-map-incidence,
     type-2-node, orientation-incompatible, not-connected.
+
+    The report is computed once per graph object; later calls return it.
     """
+    if g._report is not None:
+        return g._report
     violations = []
     vid_list = [v.id for v in g.vertices]
     eid_list = [e.id for e in g.edges]
@@ -367,12 +380,15 @@ def validate(g: EquivariantGraph) -> ValidationReport:
             violations.append(("not-connected", "underlying graph is not connected"))
 
     if violations:
-        return ValidationReport(False, tuple(violations))
-    bold_vertices = frozenset(v for v in vids if vmap[v] == v)
-    bold_edges = frozenset(e for e in eids if emap[e] == e)
-    n_e = (len(eids) - len(bold_edges)) // 2
-    c_e = (len(vids) - len(bold_vertices)) // 2
-    return ValidationReport(True, (), bold_vertices, bold_edges, n_e, c_e)
+        report = ValidationReport(False, tuple(violations))
+    else:
+        bold_vertices = frozenset(v for v in vids if vmap[v] == v)
+        bold_edges = frozenset(e for e in eids if emap[e] == e)
+        n_e = (len(eids) - len(bold_edges)) // 2
+        c_e = (len(vids) - len(bold_vertices)) // 2
+        report = ValidationReport(True, (), bold_vertices, bold_edges, n_e, c_e)
+    object.__setattr__(g, "_report", report)
+    return report
 
 
 def require_valid(g: EquivariantGraph) -> ValidationReport:
@@ -392,11 +408,6 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
     so they are compatible as stored).  Idempotent.
     """
     require_valid(g)
-    return _orient(g)
-
-
-def _orient(g: EquivariantGraph) -> EquivariantGraph:
-    """auto_orient on a graph already known to be valid."""
     vmap = g.involution.vertices
     emap = g.involution.edges
     oriented = {}

@@ -32,7 +32,6 @@ from .errors import CapExceededError
 from .graphs import (
     EquivariantGraph,
     ValidationReport,
-    _orient,
     auto_orient,
     require_valid,
 )
@@ -271,11 +270,6 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     """The lattice X^- = image of (1 - i)/2 on integral cycles, with its
     canonical HNF basis in doubled units."""
     _require_oriented(g)
-    return _lattice(g)
-
-
-def _lattice(g: EquivariantGraph) -> AntiInvariantLattice:
-    """anti_invariant_lattice on a valid, oriented graph."""
     edge_ids = g.edge_ids
     basis_rows = linalg.hnf_rows(_anti_rows(g))
     basis = tuple(
@@ -303,11 +297,6 @@ def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice | None = N
     if lattice is None:
         return analyse(g).classes
     require_valid(g)
-    return _classify(g, lattice)
-
-
-def _classify(g: EquivariantGraph, lattice: AntiInvariantLattice):
-    """classify_edges on a valid graph with its lattice."""
     out = []
     for rep, partner in g.edge_orbits():
         gcd = lattice.edge_gcds[rep]
@@ -326,13 +315,13 @@ def _classify(g: EquivariantGraph, lattice: AntiInvariantLattice):
 
 
 def analyse(g: EquivariantGraph) -> Analysis:
-    """The single pass every verdict reads from: validate g once, orient
-    it, build X^- and classify the edge orbits.  Raises InvalidGraphError
+    """The single pass every verdict reads from: validate g, orient it,
+    build X^- and classify the edge orbits.  Raises InvalidGraphError
     when g is invalid."""
     report = require_valid(g)
-    og = _orient(g)
-    lattice = _lattice(og)
-    return Analysis(og, report, lattice, _classify(og, lattice))
+    og = auto_orient(g)
+    lattice = anti_invariant_lattice(og)
+    return Analysis(og, report, lattice, classify_edges(og, lattice))
 
 
 def classify_edge_by_cycles(

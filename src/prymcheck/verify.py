@@ -75,6 +75,10 @@ class GenSpec:
     bold edges (between fixed vertices) and max_edge_pairs exchanged
     pairs, with max_edge_orbits capping the total (None = no cap).  The
     defaults cover every graph with at most 4 vertices and 4 edge orbits.
+
+    Dedup needs canonical labeling, so a spec with dedup that admits more
+    than MAX_DEDUP_VERTICES vertices is refused with CapExceededError;
+    pass dedup=False for larger (duplicate-containing) enumerations.
     """
 
     max_fixed_vertices: int = 2
@@ -96,6 +100,12 @@ class GenSpec:
                 raise ValueError(f"{name} must be >= 0")
         if self.max_edge_orbits is not None and self.max_edge_orbits < 0:
             raise ValueError("max_edge_orbits must be >= 0 or None")
+        max_vertices = self.max_fixed_vertices + 2 * self.max_vertex_pairs
+        if self.dedup and max_vertices > MAX_DEDUP_VERTICES:
+            raise CapExceededError(
+                f"dedup would need canonical labeling on up to {max_vertices} "
+                f"vertices (cap {MAX_DEDUP_VERTICES}); rerun without dedup"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
     if len(components(ids, edges)) != 1:
         return None
     vertices = tuple(Vertex(v) for v in ids)
-    return EquivariantGraph(vertices, tuple(edges), Involution(dict(vmap), emap))
+    return EquivariantGraph(vertices, tuple(edges), Involution(vmap, emap))
 
 
 def isomorphism_key(g: EquivariantGraph):
@@ -269,18 +279,7 @@ def isomorphism_key(g: EquivariantGraph):
 
 def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
     """All connected equivariant multigraphs within the bounds, in a fixed
-    deterministic order; with spec.dedup, one per isomorphism class.
-
-    Dedup needs canonical labeling, so it refuses up front any spec that
-    admits more than MAX_DEDUP_VERTICES vertices; pass dedup=False for
-    larger (duplicate-containing) enumerations.
-    """
-    max_vertices = spec.max_fixed_vertices + 2 * spec.max_vertex_pairs
-    if spec.dedup and max_vertices > MAX_DEDUP_VERTICES:
-        raise CapExceededError(
-            f"dedup would need canonical labeling on up to {max_vertices} "
-            f"vertices (cap {MAX_DEDUP_VERTICES}); rerun without dedup"
-        )
+    deterministic order; with spec.dedup, one per isomorphism class."""
     seen_keys = set()
     for n_fixed in range(spec.max_fixed_vertices + 1):
         for n_pairs in range(spec.max_vertex_pairs + 1):

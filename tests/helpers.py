@@ -40,6 +40,29 @@ def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=(), oriented=False):
     return EquivariantGraph(tuple(vertices), tuple(edges), Involution(vmap, emap), oriented)
 
 
+def layout(n_fixed, n_pairs):
+    """Vertex ids f0.. (fixed) and pairs (p0a, p0b).. (exchanged), and the
+    vertex involution."""
+    fixed = [f"f{k}" for k in range(n_fixed)]
+    pairs = [(f"p{k}a", f"p{k}b") for k in range(n_pairs)]
+    vmap = {v: v for v in fixed}
+    for a, b in pairs:
+        vmap[a], vmap[b] = b, a
+    return fixed, pairs, vmap
+
+
+def build_on_layout(n_fixed, n_pairs, bold, orbits):
+    """Graph on the layout from bold endpoint pairs and one endpoint pair
+    per exchanged orbit (its partner edge is the image under the involution)."""
+    fixed, pairs, vmap = layout(n_fixed, n_pairs)
+    edges = [(f"s{k}", x, y) for k, (x, y) in enumerate(bold)]
+    eswaps = []
+    for k, (x, y) in enumerate(orbits):
+        edges += [(f"e{k}a", x, y), (f"e{k}b", vmap[x], vmap[y])]
+        eswaps.append((f"e{k}a", f"e{k}b"))
+    return make_graph(fixed + [v for ab in pairs for v in ab], edges, pairs, eswaps)
+
+
 def relabel(g: EquivariantGraph, rng: random.Random) -> EquivariantGraph:
     """Structure-preserving random renaming of all vertex and edge ids."""
     vnames = [f"x{k}" for k in range(len(g.vertices))]

@@ -2,7 +2,9 @@
 the Friedman-Smith bipartitions once, build the lattice X^- once and list
 the simple cycles at most once, whatever they report, and `check_graph`
 computes an HNF only for the lattice and the two functional matrices.
-`enumerate_graphs` validates only the connected candidates it emits."""
+`enumerate_graphs` validates only the connected candidates it emits, and
+a validation report is computed once per graph object: once for the
+graph given and once for its oriented copy."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from prymcheck.cli import main
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
-COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "_lattice"))
+COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "anti_invariant_lattice"))
 
 
 @pytest.fixture
@@ -30,6 +32,12 @@ def calls(monkeypatch):
 @pytest.fixture
 def hnf_calls(monkeypatch):
     return _count(monkeypatch, ((linalg, "hnf_rows"),))
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """Counts the validation reports computed."""
+    return _count(monkeypatch, ((graphs, "ValidationReport"),))
 
 
 def _count(monkeypatch, targets):
@@ -53,17 +61,19 @@ def _count(monkeypatch, targets):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 @pytest.mark.parametrize("fmt", ["structured", "human"])
-def test_check_analyses_once(calls, capsys, name, fmt):
+def test_check_analyses_once(calls, reports, capsys, name, fmt):
     assert main(["check", "--input", str(FIXTURES / f"{name}.json"), "--format", fmt]) == 0
     capsys.readouterr()
     assert calls["fs_bipartitions"] == 1
-    assert calls["_lattice"] == 1
+    assert calls["anti_invariant_lattice"] == 1
+    assert reports["ValidationReport"] == 2
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_check_graph_analyses_once(calls, name):
+def test_check_graph_analyses_once(calls, reports, name):
     assert check_graph(load_fixture(name)).ok
-    assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "_lattice": 1}
+    assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "anti_invariant_lattice": 1}
+    assert reports["ValidationReport"] == 2
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -80,3 +90,12 @@ def test_enumeration_validates_each_emitted_graph_once(monkeypatch):
     validate_calls = _count(monkeypatch, ((graphs, "validate"),))
     assert sum(1 for _ in enumerate_graphs(GenSpec(dedup=False))) == 487
     assert validate_calls["validate"] == 487
+
+
+def test_enumeration_and_check_compute_two_reports_per_graph(reports):
+    # check_graph reuses the report the enumerator's self-check stored.
+    graphs_seen = list(enumerate_graphs(GenSpec(dedup=False)))
+    assert reports["ValidationReport"] == len(graphs_seen) == 487
+    for g in graphs_seen:
+        check_graph(g)
+    assert reports["ValidationReport"] == 974

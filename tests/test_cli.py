@@ -243,14 +243,19 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_dedup_cap_exits_three(self, capsys, tmp_path):
+        # The spec is refused before any output file is opened.
+        output = tmp_path / "cap.ndjson"
+        output.write_bytes(b"precious\n")
         code, _, err = run(
             capsys,
             "verify",
             "--max-fixed-vertices", "9",
-            "--output", str(tmp_path / "cap.ndjson"),
+            "--output", str(output),
         )
         assert code == 3
         assert "rerun without dedup" in err
+        assert output.read_bytes() == b"precious\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.ndjson"]
 
 
 class TestComponents:

@@ -9,7 +9,10 @@ import pytest
 from helpers import load_fixture, make_graph
 from prymcheck.errors import GraphFormatError, InvalidGraphError
 from prymcheck.graphs import (
+    EquivariantGraph,
+    Involution,
     OrientedEdge,
+    Vertex,
     arithmetic_genus,
     auto_orient,
     bold_subgraph,
@@ -149,6 +152,36 @@ class TestIds:
         assert g.vertex_ids == ("v1", "v2", "v2")
         assert g.edge_ids == ("e", "e")
         assert {"duplicate-vertex-id", "duplicate-edge-id"} <= violation_codes(g)
+
+
+class TestGraphIsValue:
+    """The involution maps are read-only copies, so the report validate
+    stores on a graph stays true for it."""
+
+    def test_report_computed_once(self, fs2):
+        assert validate(fs2) is validate(fs2)
+
+    def test_involution_maps_read_only(self, fs2):
+        with pytest.raises(TypeError):
+            fs2.involution.vertices["v1"] = "v2"
+        with pytest.raises(TypeError):
+            fs2.involution.edges["e1"] = "e1"
+        assert validate(fs2).ok
+
+    def test_callers_maps_are_copied(self):
+        vmap = {"v1": "v1", "v2": "v2"}
+        emap = {"e1": "e2", "e2": "e1"}
+        g = EquivariantGraph(
+            (Vertex("v1"), Vertex("v2")),
+            (OrientedEdge("e1", "v1", "v2"), OrientedEdge("e2", "v1", "v2")),
+            Involution(vmap, emap),
+        )
+        assert validate(g).ok
+        vmap["v1"] = "v2"
+        emap["e1"] = "e1"
+        assert g.involution.vertices == {"v1": "v1", "v2": "v2"}
+        assert g.involution.edges == {"e1": "e2", "e2": "e1"}
+        assert validate(dataclasses.replace(g)).ok
 
 
 class TestAutoOrient:

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from helpers import (
+    build_on_layout,
     fs_chain,
+    layout,
     load_fixture,
     make_graph,
     reference_isomorphism_key,
@@ -151,30 +153,9 @@ class TestIsomorphismKey:
 LAYOUTS = [(1, 3), (3, 2), (0, 4), (2, 3), (4, 2), (7, 0)]
 
 
-def _layout(n_fixed, n_pairs):
-    fixed = [f"f{k}" for k in range(n_fixed)]
-    pairs = [(f"p{k}a", f"p{k}b") for k in range(n_pairs)]
-    vmap = {v: v for v in fixed}
-    for a, b in pairs:
-        vmap[a], vmap[b] = b, a
-    return fixed, pairs, vmap
-
-
-def _build(n_fixed, n_pairs, bold, orbits):
-    """Graph on the layout from bold endpoint pairs and one endpoint pair
-    per exchanged orbit (its partner edge is the image under the involution)."""
-    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
-    edges = [(f"s{k}", x, y) for k, (x, y) in enumerate(bold)]
-    eswaps = []
-    for k, (x, y) in enumerate(orbits):
-        edges += [(f"e{k}a", x, y), (f"e{k}b", vmap[x], vmap[y])]
-        eswaps.append((f"e{k}a", f"e{k}b"))
-    return make_graph(fixed + [v for ab in pairs for v in ab], edges, pairs, eswaps)
-
-
 def _random_orbits(rng, n_fixed, n_pairs):
     """Random bold and exchanged edge orbits of a connected valid graph."""
-    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
+    fixed, pairs, vmap = layout(n_fixed, n_pairs)
     ids = list(vmap)
     while True:
         bold = [
@@ -185,7 +166,7 @@ def _random_orbits(rng, n_fixed, n_pairs):
             tuple(rng.choice(ids) for _ in range(2))
             for _ in range(rng.randint(n_pairs, n_pairs + 3))
         ]
-        if validate(_build(n_fixed, n_pairs, bold, orbits)).ok:
+        if validate(build_on_layout(n_fixed, n_pairs, bold, orbits)).ok:
             return bold, orbits
 
 
@@ -193,14 +174,14 @@ def _random_family(rng, n_fixed, n_pairs):
     """A random graph, a copy moved by a random equivariant vertex bijection
     (isomorphic, same ids), and a copy with one edge orbit moved (mostly
     not isomorphic)."""
-    fixed, pairs, vmap = _layout(n_fixed, n_pairs)
+    fixed, pairs, vmap = layout(n_fixed, n_pairs)
     bold, orbits = _random_orbits(rng, n_fixed, n_pairs)
     sigma = dict(zip(fixed, rng.sample(fixed, len(fixed))))
     for (a, b), (c, d) in zip(pairs, rng.sample(pairs, len(pairs))):
         if rng.random() < 0.5:
             c, d = d, c
         sigma[a], sigma[b] = c, d
-    moved = _build(
+    moved = build_on_layout(
         n_fixed,
         n_pairs,
         [(sigma[x], sigma[y]) for x, y in bold],
@@ -212,8 +193,8 @@ def _random_family(rng, n_fixed, n_pairs):
         k = rng.choice([k for k in (0, 1) if changed[k]])
         ends = fixed if k == 0 else list(vmap)
         changed[k][rng.randrange(len(changed[k]))] = (rng.choice(ends), rng.choice(ends))
-        mutant = _build(n_fixed, n_pairs, *changed)
-    return [_build(n_fixed, n_pairs, bold, orbits), moved, mutant]
+        mutant = build_on_layout(n_fixed, n_pairs, *changed)
+    return [build_on_layout(n_fixed, n_pairs, bold, orbits), moved, mutant]
 
 
 def _networkx_encoding(nx, g):
@@ -243,7 +224,7 @@ class TestIsomorphismKeyLarge:
         rng = random.Random(11)
         for n_fixed, n_pairs in LAYOUTS:
             for _ in range(3):
-                g = _build(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
+                g = build_on_layout(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
                 key = isomorphism_key(g)
                 for _ in range(3):
                     assert isomorphism_key(relabel(g, rng)) == key
@@ -279,7 +260,7 @@ class TestCheckGraphLarge:
         rng = random.Random(3)
         for n_fixed, n_pairs in LAYOUTS:
             for _ in range(20):
-                g = _build(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
+                g = build_on_layout(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
                 record = check_graph(g)
                 assert "oracle_dicing" in record.checks
                 assert record.ok, (canonical_json(g), record.failing_checks())

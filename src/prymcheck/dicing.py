@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CapExceededError
-from .graphs import EquivariantGraph, Involution
+from .graphs import EquivariantGraph
 from .homology import AntiInvariantLattice, _anti_rows, analyse
 
 __all__ = [
@@ -271,17 +271,8 @@ def _deletion_kills_lattice(og: EquivariantGraph, reps) -> bool:
     never read off the lattice of og."""
     emap = og.involution.edges
     removed = set(reps) | {emap[rep] for rep in reps}
-    remaining_edges = tuple(e for e in og.edges if e.id not in removed)
-    deleted = EquivariantGraph(
-        og.vertices,
-        remaining_edges,
-        Involution(
-            og.involution.vertices,
-            {k: v for k, v in emap.items() if k not in removed},
-        ),
-        oriented=True,
-    )
-    return not any(any(row) for row in _anti_rows(deleted))
+    remaining = [e for e in og.edges if e.id not in removed]
+    return not any(any(row) for row in _anti_rows(og.vertex_ids, remaining, emap))
 
 
 def dicing_report(verdict: DicingVerdict) -> str:

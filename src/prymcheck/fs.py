@@ -24,6 +24,7 @@ from .graphs import EquivariantGraph, bold_subgraph, components, require_valid
 
 __all__ = [
     "DEFAULT_ORBIT_CAP",
+    "MAX_SPLITTINGS",
     "FSWitness",
     "SubgraphPair",
     "fs_bipartitions",
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 DEFAULT_ORBIT_CAP = 20
+
+# fs_component_genera builds its whole listing in memory, so it refuses
+# a count past this.
+MAX_SPLITTINGS = 10**6
 
 
 @dataclass(frozen=True)
@@ -61,18 +66,7 @@ class SubgraphPair:
 
 def _crossings(g: EquivariantGraph, part1):
     """Crossing edge ids for the bipartition (part1, rest)."""
-    return [
-        e.id for e in g.edges if (e.tail in part1) != (e.head in part1)
-    ]
-
-
-def _crossing_orbits(g: EquivariantGraph, crossing):
-    emap = g.involution.edges
-    orbits = set()
-    for eid in crossing:
-        partner = emap[eid]
-        orbits.add((eid, partner) if eid <= partner else (partner, eid))
-    return tuple(sorted(orbits))
+    return {e.id for e in g.edges if (e.tail in part1) != (e.head in part1)}
 
 
 def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
@@ -89,6 +83,7 @@ def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
             f"{len(orbits)} vertex orbits exceed the cap {orbit_cap}"
         )
     emap = g.involution.edges
+    edge_orbits = g.edge_orbits()
     out = []
     full = (1 << len(orbits)) - 1
     all_vertices = frozenset(g.vertex_ids)
@@ -102,9 +97,10 @@ def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
         crossing = _crossings(g, part1)
         if any(emap[eid] == eid for eid in crossing):
             continue
-        out.append(
-            FSWitness(part1, part2, _crossing_orbits(g, crossing), len(crossing))
-        )
+        # Crossing sets are involution-invariant, so an orbit crosses
+        # exactly when its representative does.
+        crossing_orbits = tuple(o for o in edge_orbits if o[0] in crossing)
+        out.append(FSWitness(part1, part2, crossing_orbits, len(crossing)))
     return tuple(out)
 
 
@@ -236,19 +232,26 @@ def complete_subgraph_pair(
         raise RuntimeError("completion lost connecting edges; this is a bug")
     if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
         raise RuntimeError("completion produced a disconnected part; this is a bug")
-    return FSWitness(part1, part2, _crossing_orbits(g, crossing), len(crossing))
+    crossing_orbits = tuple(o for o in g.edge_orbits() if o[0] in crossing)
+    return FSWitness(part1, part2, crossing_orbits, len(crossing))
 
 
 def fs_component_genera(genus: int, n: int):
     """Genus splittings (k, genus - n + 1 - k) of the two components of a
     Friedman-Smith curve with 2n intersection points; there are
-    floor((genus - n + 1) / 2) + 1 of them."""
+    floor((genus - n + 1) / 2) + 1 of them.  Raises CapExceededError,
+    before listing any, when that count exceeds MAX_SPLITTINGS."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if genus < n - 1:
         raise ValueError("genus must be at least n - 1")
     total = genus - n + 1
-    return tuple((k, total - k) for k in range(total // 2 + 1))
+    count = total // 2 + 1
+    if count > MAX_SPLITTINGS:
+        raise CapExceededError(
+            f"{count} genus splittings exceed the cap {MAX_SPLITTINGS}"
+        )
+    return tuple((k, total - k) for k in range(count))
 
 
 def fs_report(g: EquivariantGraph) -> str:

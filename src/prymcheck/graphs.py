@@ -10,7 +10,8 @@ Orientation: every edge is stored as an ordered pair (tail, head).  The
 orientation is *compatible* with the involution when the image of every
 edge is its partner traversed the same way, i.e. the partner of tail->head
 is i(tail)->i(head).  auto_orient normalizes any valid graph to a
-compatible orientation and sets the `oriented` flag.
+compatible orientation and sets the `oriented` flag; a graph that already
+carries the flag (which validate checks) is returned as it is.
 """
 
 from __future__ import annotations
@@ -405,9 +406,12 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
     The representative of each exchanged pair (the lexicographically smaller
     id) keeps its stored orientation; its partner is re-oriented to the
     involution image.  Fixed edges are untouched (their endpoints are fixed,
-    so they are compatible as stored).  Idempotent.
+    so they are compatible as stored).  A graph flagged oriented is returned
+    itself: require_valid has checked its orientation.
     """
     require_valid(g)
+    if g.oriented:
+        return g
     vmap = g.involution.vertices
     emap = g.involution.edges
     oriented = {}

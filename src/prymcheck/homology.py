@@ -133,25 +133,26 @@ def _require_oriented(g: EquivariantGraph):
         )
 
 
-def _adjacency(g: EquivariantGraph):
-    adj = {vid: [] for vid in g.vertex_ids}
-    for eid in g.edge_ids:
-        e = g.edge(eid)
-        adj[e.tail].append((eid, e.head, 1))
-        adj[e.head].append((eid, e.tail, -1))
+def _adjacency(vertex_ids, edges):
+    """Incident (edge id, other end, sign) triples per vertex, sorted."""
+    adj = {vid: [] for vid in vertex_ids}
+    for e in edges:
+        adj[e.tail].append((e.id, e.head, 1))
+        adj[e.head].append((e.id, e.tail, -1))
     for lst in adj.values():
         lst.sort()
     return adj
 
 
-def _cycle_data(g: EquivariantGraph):
+def _cycle_data(vertex_ids, edges):
     """BFS forest plus one fundamental chord cycle per chord, each a plain
-    {edge id: doubled coordinate} dict.  Works on disconnected graphs (one
-    tree per component)."""
-    adj = _adjacency(g)
+    {edge id: doubled coordinate} dict, for the graph on vertex_ids spanned
+    by edges.  Works on disconnected graphs (one tree per component)."""
+    edges = sorted(edges, key=lambda e: e.id)
+    adj = _adjacency(vertex_ids, edges)
     path = {}
     tree = set()
-    for root in g.vertex_ids:
+    for root in sorted(adj):
         if root in path:
             continue
         path[root] = {}
@@ -167,11 +168,10 @@ def _cycle_data(g: EquivariantGraph):
                 tree.add(eid)
                 queue.append(w)
     cycles = []
-    for eid in g.edge_ids:
-        if eid in tree:
+    for e in edges:
+        if e.id in tree:
             continue
-        e = g.edge(eid)
-        coords = {eid: 1}
+        coords = {e.id: 1}
         for k, v in path[e.tail].items():
             coords[k] = coords.get(k, 0) + v
         for k, v in path[e.head].items():
@@ -187,7 +187,7 @@ def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
     graph the basis has #edges - #vertices + 1 chains.
     """
     _require_oriented(g)
-    cycles, tree = _cycle_data(g)
+    cycles, tree = _cycle_data(g.vertex_ids, g.edges)
     return CycleBasis(tuple(Chain(c) for c in cycles), frozenset(tree))
 
 
@@ -209,7 +209,7 @@ def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
     more than cap cycles would be produced.
     """
     require_valid(g)
-    adj = _adjacency(g)
+    adj = _adjacency(g.vertex_ids, g.edges)
     out = []
 
     def emit(coords):
@@ -245,14 +245,16 @@ def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
     return tuple(out)
 
 
-def _anti_rows(g: EquivariantGraph):
-    """Generator rows of X^- (doubled units) over sorted edge-id columns."""
-    cycles, _ = _cycle_data(g)
-    emap = g.involution.edges
+def _anti_rows(vertex_ids, edges, emap):
+    """Generator rows of X^- (doubled units) over sorted edge-id columns,
+    for the graph on vertex_ids spanned by edges (compatibly oriented,
+    closed under the edge involution emap)."""
+    cycles, _ = _cycle_data(vertex_ids, edges)
+    edge_ids = sorted(e.id for e in edges)
     rows = []
     for omega in cycles:
         row = []
-        for eid in g.edge_ids:
+        for eid in edge_ids:
             # The image of omega at eid is omega at i(eid).
             diff = omega.get(eid, 0) - omega.get(emap[eid], 0)
             if diff % 2:
@@ -271,7 +273,7 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     canonical HNF basis in doubled units."""
     _require_oriented(g)
     edge_ids = g.edge_ids
-    basis_rows = linalg.hnf_rows(_anti_rows(g))
+    basis_rows = linalg.hnf_rows(_anti_rows(g.vertex_ids, g.edges, g.involution.edges))
     basis = tuple(
         Chain(dict(zip(edge_ids, row))) for row in basis_rows
     )

@@ -182,6 +182,8 @@ def _edge_slots(ids, vmap, allow_loops: bool):
 
 
 def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
+    """The connected graph on one edge choice, or None.  Each partner edge
+    is the image of its representative, so the graph is built oriented."""
     edges = []
     emap = {}
     for k, (x, y) in enumerate(bold_choice, start=1):
@@ -197,7 +199,7 @@ def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
     if len(components(ids, edges)) != 1:
         return None
     vertices = tuple(Vertex(v) for v in ids)
-    return EquivariantGraph(vertices, tuple(edges), Involution(vmap, emap))
+    return EquivariantGraph(vertices, tuple(edges), Involution(vmap, emap), oriented=True)
 
 
 def isomorphism_key(g: EquivariantGraph):
@@ -279,7 +281,8 @@ def isomorphism_key(g: EquivariantGraph):
 
 def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
     """All connected equivariant multigraphs within the bounds, in a fixed
-    deterministic order; with spec.dedup, one per isomorphism class."""
+    deterministic order; with spec.dedup, one per isomorphism class.  Each
+    is built with a compatible orientation and flagged oriented."""
     seen_keys = set()
     for n_fixed in range(spec.max_fixed_vertices + 1):
         for n_pairs in range(spec.max_vertex_pairs + 1):
@@ -404,18 +407,9 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
 
 def record_as_object(record: ConsistencyRecord) -> dict:
     """The record as one self-contained plain object (one report line)."""
-    return {
-        "graph": json.loads(record.graph_encoding),
-        "d": record.d,
-        "n_e": record.n_e,
-        "c_e": record.c_e,
-        "star": record.star,
-        "starstar": record.starstar,
-        "fs2": record.fs2,
-        "fs4": record.fs4,
-        "has_type2": record.has_type2,
-        "checks": record.checks,
-    }
+    obj = dataclasses.asdict(record)
+    obj["graph"] = json.loads(obj.pop("graph_encoding"))
+    return obj
 
 
 def _dumps(obj) -> str:

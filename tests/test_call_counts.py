@@ -3,8 +3,10 @@ the Friedman-Smith bipartitions once, build the lattice X^- once and list
 the simple cycles at most once, whatever they report, and `check_graph`
 computes an HNF only for the lattice and the two functional matrices.
 `enumerate_graphs` validates only the connected candidates it emits, and
-a validation report is computed once per graph object: once for the
-graph given and once for its oriented copy."""
+a validation report is computed once per graph object.  Enumerated
+graphs are built oriented, so `check_graph` builds no graph for them and
+computes no report beyond the enumerator's; a graph given unoriented is
+validated once and its oriented copy once more."""
 
 from __future__ import annotations
 
@@ -92,10 +94,28 @@ def test_enumeration_validates_each_emitted_graph_once(monkeypatch):
     assert validate_calls["validate"] == 487
 
 
-def test_enumeration_and_check_compute_two_reports_per_graph(reports):
-    # check_graph reuses the report the enumerator's self-check stored.
+def test_enumeration_and_check_compute_one_report_per_graph(reports):
+    # Enumerated graphs are built oriented, so check_graph reuses the
+    # report the enumerator's self-check stored and makes no oriented copy.
     graphs_seen = list(enumerate_graphs(GenSpec(dedup=False)))
+    assert all(g.oriented for g in graphs_seen)
     assert reports["ValidationReport"] == len(graphs_seen) == 487
     for g in graphs_seen:
         check_graph(g)
-    assert reports["ValidationReport"] == 974
+    assert reports["ValidationReport"] == 487
+
+
+def test_check_graph_builds_no_graph_for_an_enumerated_graph(monkeypatch):
+    # Neither an oriented copy nor a graph per deletion subset.
+    graphs_seen = list(enumerate_graphs(GenSpec(dedup=False)))
+    built = Counter()
+    original = graphs.EquivariantGraph.__post_init__
+
+    def counted(self):
+        built["graphs"] += 1
+        original(self)
+
+    monkeypatch.setattr(graphs.EquivariantGraph, "__post_init__", counted)
+    for g in graphs_seen:
+        check_graph(g)
+    assert built["graphs"] == 0

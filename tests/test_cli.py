@@ -7,7 +7,7 @@ import pytest
 from helpers import FIXTURES
 from prymcheck.cli import main
 from prymcheck.dicing import condition_star, condition_star_star
-from prymcheck.fs import is_fs_degeneration
+from prymcheck.fs import MAX_SPLITTINGS, is_fs_degeneration
 from prymcheck.graphs import load_graph
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
@@ -282,6 +282,14 @@ class TestComponents:
         code, _, err = run(capsys, "components", *argv)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("fmt", ["human", "structured"])
+    def test_past_the_cap_exits_three(self, capsys, fmt):
+        genus = str(2 * MAX_SPLITTINGS + 1)
+        code, out, err = run(capsys, "components", genus, "2", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert f"error: {MAX_SPLITTINGS + 1} genus splittings" in err
 
 
 class TestErrorExits:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from helpers import fs_chain, load_fixture, make_graph
+from prymcheck import fs
 from prymcheck.errors import CapExceededError
 from prymcheck.fs import (
+    MAX_SPLITTINGS,
     FSWitness,
     SubgraphPair,
     complete_subgraph_pair,
@@ -257,6 +259,17 @@ class TestComponentGenera:
             fs_component_genera(5, 1)
         with pytest.raises(ValueError):
             fs_component_genera(2, 4)
+
+    def test_cap_refuses_before_listing(self):
+        # genus 2 * cap + 1 with n = 2 has cap + 1 splittings.
+        with pytest.raises(CapExceededError, match=str(MAX_SPLITTINGS + 1)):
+            fs_component_genera(2 * MAX_SPLITTINGS + 1, 2)
+
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(fs, "MAX_SPLITTINGS", 3)
+        assert fs_component_genera(6, 2) == ((0, 5), (1, 4), (2, 3))
+        with pytest.raises(CapExceededError, match="4 genus splittings"):
+            fs_component_genera(7, 2)
 
 
 class TestReport:

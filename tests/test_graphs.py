@@ -197,7 +197,7 @@ class TestAutoOrient:
     def test_idempotent(self):
         for name in ALL_FIXTURES:
             g = auto_orient(load_fixture(name))
-            assert auto_orient(g) == g
+            assert auto_orient(g) is g
 
     def test_square_already_compatible(self, square):
         normalized = auto_orient(square)

@@ -1,10 +1,15 @@
 """Property tests on random valid graphs past the exhaustive grids: every
 check of `verify.check_graph` passes (both theorems' equivalences, the
-dicing oracle, witness soundness and the rest), and every verdict is
-invariant under relabelling.  Examples are derandomized, so a run is
-reproducible."""
+dicing oracle, witness soundness and the rest), every verdict is
+invariant under relabelling, and `prymcheck check` on the graph's
+document reports the verdicts `check_graph` records.  Examples are
+derandomized, so a run is reproducible."""
 
 from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from helpers import build_on_layout, layout, relabel  # noqa: E402
+from prymcheck.cli import main  # noqa: E402
+from prymcheck.graphs import to_document  # noqa: E402
 from prymcheck.verify import check_graph  # noqa: E402
 
 MAX_EDGE_ORBITS = 6
@@ -60,3 +67,24 @@ def test_checks_pass_and_verdicts_survive_relabelling(g, rng):
     other = check_graph(relabel(g, rng))
     assert other.ok, other.failing_checks()
     assert [getattr(other, f) for f in VERDICTS] == [getattr(record, f) for f in VERDICTS]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_cli_check_agrees_with_check_graph(g):
+    record = check_graph(g)
+    # A TemporaryDirectory per example: hypothesis refuses function-scoped
+    # fixtures such as tmp_path.
+    with tempfile.TemporaryDirectory() as tmp:
+        source, result = Path(tmp) / "graph.json", Path(tmp) / "check.json"
+        source.write_text(json.dumps(to_document(g)))
+        argv = ["check", "--format", "structured", "--input", str(source), "--output", str(result)]
+        assert main(argv) == 0
+        payload = json.loads(result.read_text())
+    assert [payload["d"], payload["n_e"], payload["c_e"]] == [record.d, record.n_e, record.c_e]
+    conditions = payload["conditions"]
+    assert [conditions["star"]["holds"], conditions["starstar"]["holds"]] == [record.star, record.starstar]
+    fs = payload["fs"]
+    assert [fs["min2"] is not None, fs["min4"] is not None] == [record.fs2, record.fs4]
+    assert payload["indeterminacy"] == (not record.star)
+    assert any(c["type"] == 2 for c in payload["edge_classes"]) == record.has_type2

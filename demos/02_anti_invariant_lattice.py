@@ -48,20 +48,20 @@ g = auto_orient(banana(2))
 # chord per cycle.  Doubled units: the cycle a1-a2 prints as +-2.
 basis = fundamental_cycles(g)
 print("spanning tree edges:", sorted(basis.tree_edges))
-for chain in basis.chains:
-    print("  fundamental cycle:", dict(chain.coords))
+for cycle in basis.chains:
+    print("  fundamental cycle:", cycle)
 
-# The involution acts on chains by pushing edges to their partners.
+# The involution acts on cycles by pushing edges to their partners.
 first = basis.chains[0]
-print("i(first cycle):", dict(involution_on_chain(g, first).coords))
+print("i(first cycle):", involution_on_chain(g, first))
 
 # X^- in Hermite normal form.  For the 2-pair banana the rank is
 # d = n_e - c_e = 2 - 0 = 2.
 lattice = anti_invariant_lattice(g)
 print("rank d =", lattice.rank, "(formula says", rank_formula(g), ")")
 print("edge columns:", lattice.edge_ids)
-for chain in lattice.basis:
-    print("  basis row (doubled):", chain.vector(lattice.edge_ids))
+for row in lattice.rows:
+    print("  basis row (doubled):", row)
 
 # Per-edge column gcds decide the type: G = 0 -> type 1, G = 2 -> type 2
 # (functional hits Z), G = 1 -> type 3 (functional hits (1/2) Z).
@@ -71,7 +71,7 @@ for cls in classify_edges(g, lattice):
 
 # An independent route to the same answer: walk all simple cycles and
 # look at the doubled coefficients at the edge and its partner.
-print("simple cycles:", [dict(c.coords) for c in simple_cycles(g)])
+print("simple cycles:", list(simple_cycles(g)))
 for eid in ("a1", "b1"):
     print(f"  cycle-based type of {eid}:", classify_edge_by_cycles(g, eid))
 

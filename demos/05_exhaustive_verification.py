@@ -31,7 +31,7 @@ print()
 # check_graph runs the whole pipeline and records every check; a failing
 # check is data, not an exception.
 record = check_graph(graphs[0])
-print("first graph:", record.graph_encoding)
+print("first graph:", record.graph)
 print("verdicts: star =", record.star, " starstar =", record.starstar,
       " fs2 =", record.fs2, " fs4 =", record.fs4)
 print("checks:", sorted(record.checks))
@@ -53,9 +53,10 @@ print()
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "suite.ndjson"
     report = run_suite(spec, out)
-    print("suite over", report.n_graphs, "graphs: failed checks =", report.n_failed_checks)
-    for name, (passed, failed) in report.per_check.items():
-        print(f"  {name}: {passed} pass / {failed} fail")
+    summary = report.summary
+    print("suite over", summary["graphs"], "graphs: failed checks =", summary["failed_checks"])
+    for name, tally in summary["per_check"].items():
+        print(f"  {name}: {tally['pass']} pass / {tally['fail']} fail")
     print("records:", report.report_path)
     print("summary:", report.summary_path)
 
@@ -68,5 +69,5 @@ with tempfile.TemporaryDirectory() as tmp:
     # produce recorded theorem2 counterexamples.
     mutant_out = Path(tmp) / "mutant.ndjson"
     mutant = run_suite(spec, mutant_out, mutate_starstar=True)
-    print("mutant run failed checks:", mutant.n_failed_checks,
+    print("mutant run failed checks:", mutant.summary["failed_checks"],
           "(recorded in", mutant.counterexamples_path + ")")

@@ -20,7 +20,6 @@ input (including bad arguments); 3 an enumeration cap was exceeded;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -212,19 +211,12 @@ def cmd_verify(args) -> int:
         dedup=args.dedup,
     )
     report = run_suite(spec, args.output, mutate_starstar=args.mutant_starstar)
+    summary = report.summary
     if args.format == "structured":
         _emit_structured(
             {
                 "command": "verify",
-                "spec": dataclasses.asdict(spec),
-                "graphs": report.n_graphs,
-                "failed_graphs": report.n_failed_graphs,
-                "failed_checks": report.n_failed_checks,
-                "per_check": {
-                    name: {"pass": p, "fail": f}
-                    for name, (p, f) in report.per_check.items()
-                },
-                "ok": report.ok,
+                **summary,
                 "report_path": report.report_path,
                 "counterexamples_path": report.counterexamples_path,
                 "summary_path": report.summary_path,
@@ -232,10 +224,10 @@ def cmd_verify(args) -> int:
             None,
         )
     else:
-        print(f"graphs checked: {report.n_graphs}")
-        for name, (passed, failed) in report.per_check.items():
-            print(f"  {name}: pass {passed}, fail {failed}")
-        print(f"failed checks: {report.n_failed_checks}")
+        print(f"graphs checked: {summary['graphs']}")
+        for name, tally in summary["per_check"].items():
+            print(f"  {name}: pass {tally['pass']}, fail {tally['fail']}")
+        print(f"failed checks: {summary['failed_checks']}")
         print(f"report: {report.report_path}")
         print(f"counterexamples: {report.counterexamples_path}")
         print(f"summary: {report.summary_path}")

@@ -94,14 +94,13 @@ class DicingVerdict:
 def _functional_matrix(
     lattice: AntiInvariantLattice, classes, tag: str
 ) -> FunctionalMatrix:
-    basis = tuple(tuple(row) for row in lattice.matrix())
     rows = []
     for cls in classes:
         if cls.type == 1:
             continue
         gcd = lattice.edge_gcds[cls.orbit_rep]
         col = lattice.edge_ids.index(cls.orbit_rep)
-        values = [row[col] for row in basis]
+        values = [row[col] for row in lattice.rows]
         if tag == STAR:
             if any(v % gcd for v in values):
                 raise RuntimeError(
@@ -110,7 +109,7 @@ def _functional_matrix(
                 )
             values = [v // gcd for v in values]
         rows.append((cls.orbit_rep, tuple(values)))
-    m = FunctionalMatrix(tag, lattice.rank, lattice.edge_ids, basis, tuple(rows))
+    m = FunctionalMatrix(tag, lattice.rank, lattice.edge_ids, lattice.rows, tuple(rows))
     if linalg.rank([list(vec) for _, vec in m.rows]) != m.d:
         raise RuntimeError(
             f"{tag} matrix rank is not d = {m.d}; the type != 1 functionals "

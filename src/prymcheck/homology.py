@@ -6,6 +6,10 @@ cycle therefore has even stored entries, and the generators (omega - i
 omega)/2 of the anti-invariant lattice X^- stay integral in stored form.
 Reports print stored values together with a "multiply by 1/2" legend.
 
+A cycle is a plain {edge id: doubled coefficient} dict with no zero
+entries and its keys in sorted order, so equal cycles compare (and print)
+equal; X^- is its HNF rows over the sorted edge ids.
+
 The first homology of the graph is the cycle space; a deterministic BFS
 spanning tree (lexicographic roots, edges explored in id order) gives one
 fundamental cycle per chord, with coefficient +1 on the chord.  X^- is the
@@ -38,7 +42,6 @@ from .graphs import (
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
-    "Chain",
     "CycleBasis",
     "AntiInvariantLattice",
     "EdgeClass",
@@ -58,33 +61,11 @@ DEFAULT_CYCLE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class Chain:
-    """An integer edge vector in doubled units; zero entries are dropped,
-    so equal chains compare equal."""
-
-    coords: dict[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", {k: v for k, v in sorted(self.coords.items()) if v}
-        )
-
-    def __getitem__(self, edge_id: str) -> int:
-        return self.coords.get(edge_id, 0)
-
-    def vector(self, edge_ids) -> list[int]:
-        return [self.coords.get(e, 0) for e in edge_ids]
-
-    def __neg__(self) -> "Chain":
-        return Chain({k: -v for k, v in self.coords.items()})
-
-
-@dataclass(frozen=True)
 class CycleBasis:
     """Fundamental cycles of a deterministic spanning forest; one chain per
     chord, with stored coefficient +2 (true +1) on the chord."""
 
-    chains: tuple[Chain, ...]
+    chains: tuple[dict[str, int], ...]
     tree_edges: frozenset[str]
 
 
@@ -94,12 +75,9 @@ class AntiInvariantLattice:
     edge-id columns, the rank d, and the per-edge column gcds."""
 
     edge_ids: tuple[str, ...]
-    basis: tuple[Chain, ...]
+    rows: tuple[tuple[int, ...], ...]
     rank: int
     edge_gcds: dict[str, int]
-
-    def matrix(self) -> list[list[int]]:
-        return [chain.vector(self.edge_ids) for chain in self.basis]
 
 
 @dataclass(frozen=True)
@@ -145,38 +123,46 @@ def _adjacency(vertex_ids, edges):
 
 
 def _cycle_data(vertex_ids, edges):
-    """BFS forest plus one fundamental chord cycle per chord, each a plain
-    {edge id: doubled coordinate} dict, for the graph on vertex_ids spanned
-    by edges.  Works on disconnected graphs (one tree per component)."""
+    """BFS forest plus one fundamental chord cycle per chord, each a cycle
+    dict, for the graph on vertex_ids spanned by edges.  Works on
+    disconnected graphs (one tree per component).  Each vertex keeps only
+    its tree parent, so memory stays linear in the size of the graph."""
     edges = sorted(edges, key=lambda e: e.id)
     adj = _adjacency(vertex_ids, edges)
-    path = {}
+    # vertex -> (parent, tree edge to it, sign of that edge walked from the
+    # parent, depth); a root has no parent.
+    up = {}
     tree = set()
     for root in sorted(adj):
-        if root in path:
+        if root in up:
             continue
-        path[root] = {}
+        up[root] = (None, None, 0, 0)
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            depth = up[v][3] + 1
             for eid, w, sign in adj[v]:
-                if w in path:
+                if w in up:
                     continue
-                step = dict(path[v])
-                step[eid] = step.get(eid, 0) + sign
-                path[w] = step
+                up[w] = (v, eid, sign, depth)
                 tree.add(eid)
                 queue.append(w)
     cycles = []
     for e in edges:
         if e.id in tree:
             continue
-        coords = {e.id: 1}
-        for k, v in path[e.tail].items():
-            coords[k] = coords.get(k, 0) + v
-        for k, v in path[e.head].items():
-            coords[k] = coords.get(k, 0) - v
-        cycles.append({k: 2 * v for k, v in coords.items()})
+        # The chord plus the tree path from its tail up to where the two
+        # root paths meet, minus the tree path from its head up to there.
+        coords = {e.id: 2}
+        t, h = e.tail, e.head
+        while t != h:
+            if up[t][3] >= up[h][3]:
+                t, eid, sign, _ = up[t]
+                coords[eid] = 2 * sign
+            else:
+                h, eid, sign, _ = up[h]
+                coords[eid] = -2 * sign
+        cycles.append(dict(sorted(coords.items())))
     return cycles, tree
 
 
@@ -188,19 +174,19 @@ def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
     """
     _require_oriented(g)
     cycles, tree = _cycle_data(g.vertex_ids, g.edges)
-    return CycleBasis(tuple(Chain(c) for c in cycles), frozenset(tree))
+    return CycleBasis(tuple(cycles), frozenset(tree))
 
 
-def involution_on_chain(g: EquivariantGraph, chain: Chain) -> Chain:
-    """Push a chain forward along the involution: the coordinate of the
-    image at edge i(j) equals the coordinate of the input at edge j.  Only
-    meaningful once the orientation is normalized."""
+def involution_on_chain(g: EquivariantGraph, chain: dict[str, int]) -> dict[str, int]:
+    """Push a cycle dict forward along the involution: the coordinate of
+    the image at edge i(j) equals the coordinate of the input at edge j.
+    Only meaningful once the orientation is normalized."""
     emap = g.involution.edges
-    return Chain({emap[k]: v for k, v in chain.coords.items()})
+    return dict(sorted((emap[k], v) for k, v in chain.items()))
 
 
 def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
-    """All simple cycles as doubled chains, each exactly once up to sign and
+    """All simple cycles as cycle dicts, each exactly once up to sign and
     rotation, in a deterministic order.
 
     A loop is a cycle of length 1 and appears only as such.  Every other
@@ -215,7 +201,7 @@ def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
     def emit(coords):
         if len(out) >= cap:
             raise CapExceededError(f"more than {cap} simple cycles")
-        out.append(Chain({k: 2 * v for k, v in coords.items()}))
+        out.append({k: 2 * v for k, v in sorted(coords.items())})
 
     for anchor_id in g.edge_ids:
         anchor = g.edge(anchor_id)
@@ -273,14 +259,12 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     canonical HNF basis in doubled units."""
     _require_oriented(g)
     edge_ids = g.edge_ids
-    basis_rows = linalg.hnf_rows(_anti_rows(g.vertex_ids, g.edges, g.involution.edges))
-    basis = tuple(
-        Chain(dict(zip(edge_ids, row))) for row in basis_rows
+    rows = tuple(
+        map(tuple, linalg.hnf_rows(_anti_rows(g.vertex_ids, g.edges, g.involution.edges)))
     )
-    gcds = {}
-    for col, eid in enumerate(edge_ids):
-        gcds[eid] = math.gcd(*(row[col] for row in basis_rows)) if basis_rows else 0
-    return AntiInvariantLattice(edge_ids, basis, len(basis), gcds)
+    # With no rows a column gcd is math.gcd() = 0.
+    gcds = {eid: math.gcd(*(row[col] for row in rows)) for col, eid in enumerate(edge_ids)}
+    return AntiInvariantLattice(edge_ids, rows, len(rows), gcds)
 
 
 def rank_formula(g: EquivariantGraph) -> int:
@@ -346,8 +330,8 @@ def _cycle_type(cycles, edge_id: str, partner: str) -> int:
     saw_unit_alone = False
     saw_nonzero = False
     for cycle in cycles:
-        a = cycle[edge_id]
-        b = cycle[partner]
+        a = cycle.get(edge_id, 0)
+        b = cycle.get(partner, 0)
         if abs(a) == 2 and b == 0:
             saw_unit_alone = True
         if a != b:
@@ -369,8 +353,9 @@ def _classification_text(a: Analysis) -> str:
         f"rank d = {lat.rank} (exchanged edge pairs {a.report.n_e} - exchanged vertex pairs {a.report.c_e})",
         "edge orbits (basis values in doubled units; multiply by 1/2 for true coordinates):",
     ]
+    col = {eid: k for k, eid in enumerate(lat.edge_ids)}
     for cls in a.classes:
-        values = [chain[cls.orbit_rep] for chain in lat.basis]
+        values = [row[col[cls.orbit_rep]] for row in lat.rows]
         label = (
             f"{cls.orbit_rep} (fixed)"
             if cls.orbit_rep == cls.partner

@@ -220,4 +220,4 @@ def test_harness_self_check(tmp_path):
         mutate_starstar=True,
     )
     assert not report.ok
-    assert report.per_check["theorem2_i_iii"][1] > 0
+    assert report.summary["per_check"]["theorem2_i_iii"]["fail"] > 0

@@ -227,6 +227,25 @@ class TestVerify:
         assert payload["graphs"] > 0
         assert payload["per_check"]["theorem1"]["fail"] == 0
 
+    def test_structured_payload_is_the_summary(self, capsys, tmp_path):
+        # The mutant run has failures, so every summary field is exercised.
+        out_path = tmp_path / "suite.ndjson"
+        code, out, _ = run(
+            capsys, *self.ARGS, "--output", str(out_path), "--format", "structured",
+            "--mutant-starstar",
+        )
+        assert code == 4
+        payload = json.loads(out)
+        assert payload.pop("schema_version") == 1
+        assert payload.pop("command") == "verify"
+        assert payload.pop("report_path") == str(out_path)
+        assert payload.pop("counterexamples_path") == str(
+            tmp_path / "suite.counterexamples.ndjson"
+        )
+        summary_path = tmp_path / "suite.summary.json"
+        assert payload.pop("summary_path") == str(summary_path)
+        assert payload == json.loads(summary_path.read_text())
+
     def test_mutant_exits_four(self, capsys, tmp_path):
         out_path = tmp_path / "mut.ndjson"
         code, out, _ = run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,6 @@ from helpers import fs_chain, load_fixture, make_graph
 from prymcheck.errors import CapExceededError, InvalidGraphError
 from prymcheck.graphs import auto_orient, validate
 from prymcheck.homology import (
-    Chain,
     EdgeClass,
     analyse,
     anti_invariant_lattice,
@@ -62,7 +62,7 @@ def bruteforce_anti_points(g, bound=3):
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(chains)):
         omega = {}
         for c, chain in zip(coeffs, chains):
-            for eid, val in chain.coords.items():
+            for eid, val in chain.items():
                 omega[eid] = omega.get(eid, 0) + c * val
         image = {}
         for eid, val in omega.items():
@@ -80,15 +80,15 @@ class TestFundamentalCycles:
     def test_fs2(self, fs2):
         basis = fundamental_cycles(auto_orient(fs2))
         assert basis.tree_edges == {"e1"}
-        assert basis.chains == (Chain({"e1": -2, "e2": 2}),)
+        assert basis.chains == ({"e1": -2, "e2": 2},)
 
     def test_fs4(self, fs4):
         basis = fundamental_cycles(auto_orient(fs4))
         assert basis.tree_edges == {"a1"}
         assert basis.chains == (
-            Chain({"a1": -2, "a2": 2}),
-            Chain({"a1": -2, "b1": 2}),
-            Chain({"a1": -2, "b2": 2}),
+            {"a1": -2, "a2": 2},
+            {"a1": -2, "b1": 2},
+            {"a1": -2, "b2": 2},
         )
 
     def test_square_single_invariant_cycle(self, square):
@@ -96,14 +96,14 @@ class TestFundamentalCycles:
         basis = fundamental_cycles(og)
         assert basis.tree_edges == {"a", "b", "bp"}
         (cycle,) = basis.chains
-        assert cycle == Chain({"a": 2, "b": 2, "ap": 2, "bp": 2})
+        assert cycle == {"a": 2, "b": 2, "ap": 2, "bp": 2}
         assert involution_on_chain(og, cycle) == cycle
 
     def test_loop_is_chord(self):
         og = auto_orient(two_loops())
         basis = fundamental_cycles(og)
         assert basis.tree_edges == frozenset()
-        assert basis.chains == (Chain({"l1": 2}), Chain({"l2": 2}))
+        assert basis.chains == ({"l1": 2}, {"l2": 2})
 
     def test_counts(self):
         for name in ALL_FIXTURES:
@@ -123,12 +123,12 @@ class TestFundamentalCycles:
 class TestInvolutionOnChain:
     def test_pushforward(self, fs4):
         og = auto_orient(fs4)
-        assert involution_on_chain(og, Chain({"a1": 2})) == Chain({"a2": 2})
-        chain = Chain({"a1": -2, "b1": 2})
+        assert involution_on_chain(og, {"a1": 2}) == {"a2": 2}
+        chain = {"a1": -2, "b1": 2}
         image = involution_on_chain(og, chain)
-        assert image == Chain({"a2": -2, "b2": 2})
+        assert image == {"a2": -2, "b2": 2}
         for eid in og.edge_ids:
-            assert image[og.emap(eid)] == chain[eid]
+            assert image.get(og.emap(eid), 0) == chain.get(eid, 0)
 
     def test_involutive(self, square):
         og = auto_orient(square)
@@ -138,43 +138,43 @@ class TestInvolutionOnChain:
 
 class TestSimpleCycles:
     def test_fs2(self, fs2):
-        assert simple_cycles(auto_orient(fs2)) == (Chain({"e1": 2, "e2": -2}),)
+        assert simple_cycles(auto_orient(fs2)) == ({"e1": 2, "e2": -2},)
 
     def test_fs4_exactly_six(self, fs4):
         cycles = simple_cycles(auto_orient(fs4))
         assert cycles == (
-            Chain({"a1": 2, "a2": -2}),
-            Chain({"a1": 2, "b1": -2}),
-            Chain({"a1": 2, "b2": -2}),
-            Chain({"a2": 2, "b1": -2}),
-            Chain({"a2": 2, "b2": -2}),
-            Chain({"b1": 2, "b2": -2}),
+            {"a1": 2, "a2": -2},
+            {"a1": 2, "b1": -2},
+            {"a1": 2, "b2": -2},
+            {"a2": 2, "b1": -2},
+            {"a2": 2, "b2": -2},
+            {"b1": 2, "b2": -2},
         )
 
     def test_square(self, square):
         assert simple_cycles(auto_orient(square)) == (
-            Chain({"a": 2, "b": 2, "ap": 2, "bp": 2}),
+            {"a": 2, "b": 2, "ap": 2, "bp": 2},
         )
 
     def test_boldbanana(self, boldbanana):
         cycles = simple_cycles(auto_orient(boldbanana))
         assert cycles == (
-            Chain({"b": 2, "e1": -2}),
-            Chain({"b": 2, "e2": -2}),
-            Chain({"e1": 2, "e2": -2}),
+            {"b": 2, "e1": -2},
+            {"b": 2, "e2": -2},
+            {"e1": 2, "e2": -2},
         )
 
     def test_fs4tail_bridge_in_no_cycle(self, fs4tail):
         cycles = simple_cycles(auto_orient(fs4tail))
         assert len(cycles) == 6
-        assert all(cycle["c"] == 0 for cycle in cycles)
+        assert all("c" not in cycle for cycle in cycles)
 
     def test_loops_only_as_singletons(self):
         cycles = simple_cycles(auto_orient(pair_with_loops()))
         assert cycles == (
-            Chain({"e1": 2, "e2": 2}),
-            Chain({"l1": 2}),
-            Chain({"l2": 2}),
+            {"e1": 2, "e2": 2},
+            {"l1": 2},
+            {"l2": 2},
         )
 
     def test_cap(self, fs4):
@@ -182,49 +182,87 @@ class TestSimpleCycles:
             simple_cycles(auto_orient(fs4), cap=3)
 
 
+class TestCycleDicts:
+    def test_sorted_keys_and_no_zero_entries(self):
+        for name in ALL_FIXTURES:
+            og = auto_orient(load_fixture(name))
+            cycles = fundamental_cycles(og).chains + simple_cycles(og)
+            for cycle in cycles + tuple(involution_on_chain(og, c) for c in cycles):
+                assert list(cycle) == sorted(cycle), name
+                assert all(cycle.values()), name
+
+
+def bold_cycle(n):
+    ids = [f"v{k:05d}" for k in range(n)]
+    return make_graph(ids, [(f"s{k:05d}", ids[k], ids[(k + 1) % n]) for k in range(n)])
+
+
+class TestCycleMemory:
+    def test_long_cycle_memory_is_linear(self):
+        # The forest keeps one parent per vertex, not a path from the root.
+        g = bold_cycle(4000)
+        tracemalloc.start()
+        try:
+            a = analyse(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.lattice.rank == 0
+        assert peak < 20 * 2**20, peak
+
+    def test_long_cycle_basis(self):
+        g = bold_cycle(500)
+        basis = fundamental_cycles(auto_orient(g))
+        (cycle,) = basis.chains
+        assert len(basis.tree_edges) == 499
+        assert set(cycle) == set(g.edge_ids)
+        # The chord and the tree path around the ring run the same way.
+        assert set(cycle.values()) == {2}
+
+
 class TestAntiInvariantLattice:
     def test_fs2_canonical_basis(self, fs2):
         lat = anti_invariant_lattice(auto_orient(fs2))
         assert lat.edge_ids == ("e1", "e2")
-        assert lat.matrix() == [[2, -2]]
+        assert lat.rows == ((2, -2),)
         assert lat.rank == 1
         assert lat.edge_gcds == {"e1": 2, "e2": 2}
         # the generator written the other way spans the same lattice
-        assert hnf_rows([[-2, 2]]) == lat.matrix()
+        assert hnf_rows([[-2, 2]]) == [list(row) for row in lat.rows]
 
     def test_fs4_canonical_basis(self, fs4):
         lat = anti_invariant_lattice(auto_orient(fs4))
         assert lat.edge_ids == ("a1", "a2", "b1", "b2")
-        assert lat.matrix() == [[1, -1, 1, -1], [0, 0, 2, -2]]
+        assert lat.rows == ((1, -1, 1, -1), (0, 0, 2, -2))
         assert lat.rank == 2
         assert lat.edge_gcds == {"a1": 1, "a2": 1, "b1": 1, "b2": 1}
 
     def test_boldbanana_basis(self, boldbanana):
         lat = anti_invariant_lattice(auto_orient(boldbanana))
         assert lat.edge_ids == ("b", "e1", "e2")
-        assert lat.matrix() == [[0, 1, -1]]
+        assert lat.rows == ((0, 1, -1),)
         assert lat.edge_gcds == {"b": 0, "e1": 1, "e2": 1}
 
     def test_square_rank_zero(self, square):
         lat = anti_invariant_lattice(auto_orient(square))
-        assert lat.matrix() == []
+        assert lat.rows == ()
         assert lat.rank == 0
         assert set(lat.edge_gcds.values()) == {0}
 
     def test_fs4tail_basis(self, fs4tail):
         lat = anti_invariant_lattice(auto_orient(fs4tail))
         assert lat.edge_ids == ("a1", "a2", "b1", "b2", "c")
-        assert lat.matrix() == [[1, -1, 1, -1, 0], [0, 0, 2, -2, 0]]
+        assert lat.rows == ((1, -1, 1, -1, 0), (0, 0, 2, -2, 0))
         assert lat.edge_gcds["c"] == 0
 
     def test_loops(self):
         lat = anti_invariant_lattice(auto_orient(two_loops()))
-        assert lat.matrix() == [[1, -1]]
+        assert lat.rows == ((1, -1),)
         lat = anti_invariant_lattice(auto_orient(exchanged_two_cycle()))
         assert lat.rank == 0
         lat = anti_invariant_lattice(auto_orient(pair_with_loops()))
         assert lat.edge_ids == ("e1", "e2", "l1", "l2")
-        assert lat.matrix() == [[0, 0, 1, -1]]
+        assert lat.rows == ((0, 0, 1, -1),)
 
     def test_against_bruteforce_span(self):
         graphs = {name: load_fixture(name) for name in ALL_FIXTURES}
@@ -234,7 +272,7 @@ class TestAntiInvariantLattice:
         for name, g in graphs.items():
             lat = anti_invariant_lattice(auto_orient(g))
             points = bruteforce_anti_points(g)
-            basis = lat.matrix()
+            basis = [list(row) for row in lat.rows]
             for point in points:
                 assert in_lattice(basis, list(point)), (name, point)
             # the spanned lattice is exactly X^-: same canonical form
@@ -250,14 +288,15 @@ class TestAntiInvariantLattice:
             rows = []
             for cycle in simple_cycles(og):
                 image = involution_on_chain(og, cycle)
-                rows.append([(cycle[e] - image[e]) // 2 for e in edge_ids])
-            assert hnf_rows(rows) == lat.matrix(), name
+                rows.append([(cycle.get(e, 0) - image.get(e, 0)) // 2 for e in edge_ids])
+            assert hnf_rows(rows) == [list(row) for row in lat.rows], name
 
     def test_antisymmetry_of_basis(self):
         for name in ALL_FIXTURES:
             og = auto_orient(load_fixture(name))
             lat = anti_invariant_lattice(og)
-            for chain in lat.basis:
+            for row in lat.rows:
+                chain = dict(zip(lat.edge_ids, row))
                 for eid in og.edge_ids:
                     assert chain[og.emap(eid)] == -chain[eid], name
 
@@ -274,7 +313,7 @@ class TestAntiInvariantLattice:
             eswaps=[("xa1", "xa2"), ("xb1", "xb2")],
         )
         lat = anti_invariant_lattice(auto_orient(renamed))
-        assert lat.matrix() == anti_invariant_lattice(og).matrix()
+        assert lat.rows == anti_invariant_lattice(og).rows
 
 
 class TestRankFormula:

@@ -339,10 +339,10 @@ class TestRunSuite:
         out = tmp_path / "suite.ndjson"
         report = run_suite(self.SMALL, out)
         assert report.ok
-        assert report.n_graphs > 0
-        assert report.n_failed_graphs == 0
+        assert report.summary["graphs"] > 0
+        assert report.summary["failed_graphs"] == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == report.n_graphs
+        assert len(lines) == report.summary["graphs"]
         record = json.loads(lines[0])
         assert set(record) == {
             "graph", "d", "n_e", "c_e", "star", "starstar",
@@ -352,7 +352,7 @@ class TestRunSuite:
         assert (tmp_path / "suite.counterexamples.ndjson").read_text() == ""
         summary = json.loads((tmp_path / "suite.summary.json").read_text())
         assert summary["ok"] is True
-        assert summary["graphs"] == report.n_graphs
+        assert summary == report.summary
         assert summary["per_check"]["theorem1"]["fail"] == 0
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -369,17 +369,17 @@ class TestRunSuite:
         spec = GenSpec(max_fixed_vertices=0, max_vertex_pairs=0, **NO_EDGE_BOUNDS)
         report = run_suite(spec, tmp_path / "empty.ndjson")
         assert report.ok
-        assert report.n_graphs == 0
+        assert report.summary["graphs"] == 0
         assert (tmp_path / "empty.ndjson").read_text() == ""
 
     def test_mutant_suite_records_counterexamples(self, tmp_path):
         out = tmp_path / "mut.ndjson"
         report = run_suite(self.SMALL, out, mutate_starstar=True)
         assert not report.ok
-        assert report.n_failed_graphs > 0
-        assert report.per_check["theorem2_i_iii"][1] > 0
+        assert report.summary["failed_graphs"] > 0
+        assert report.summary["per_check"]["theorem2_i_iii"]["fail"] > 0
         lines = (tmp_path / "mut.counterexamples.ndjson").read_text().splitlines()
-        assert len(lines) == report.n_failed_graphs
+        assert len(lines) == report.summary["failed_graphs"]
         for line in lines:
             doc = json.loads(line)
             assert doc["failing_checks"]

@@ -10,10 +10,19 @@ soundness.  Zero counterexamples is the point.
 """
 
 import collections
+import dataclasses
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from prymcheck import GenSpec, check_graph, enumerate_graphs, run_suite
+from prymcheck import (
+    GenSpec,
+    check_graph,
+    enumerate_graphs,
+    run_suite,
+    star_star_matrix,
+    verify,
+)
 
 # Modest bounds: up to 2 fixed vertices, 1 exchanged vertex pair, and 3
 # edge orbits, one representative per isomorphism class.
@@ -65,9 +74,15 @@ with tempfile.TemporaryDirectory() as tmp:
     run_suite(spec, again)
     print("byte-identical rerun:", out.read_bytes() == again.read_bytes())
 
-    # The harness can fail -- a deliberately mis-scaled (**) matrix must
-    # produce recorded theorem2 counterexamples.
+    # The harness can fail -- a deliberately mis-scaled (**) matrix, every
+    # row doubled, must produce recorded theorem2 counterexamples.
+    def doubled(lattice, classes):
+        m = star_star_matrix(lattice, classes)
+        rows = tuple((rep, tuple(2 * v for v in vec)) for rep, vec in m.rows)
+        return dataclasses.replace(m, rows=rows)
+
     mutant_out = Path(tmp) / "mutant.ndjson"
-    mutant = run_suite(spec, mutant_out, mutate_starstar=True)
+    with mock.patch.object(verify, "star_star_matrix", doubled):
+        mutant = run_suite(spec, mutant_out)
     print("mutant run failed checks:", mutant.summary["failed_checks"],
           "(recorded in", mutant.counterexamples_path + ")")

@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
         allow_loops=args.allow_loops,
         dedup=args.dedup,
     )
-    report = run_suite(spec, args.output, mutate_starstar=args.mutant_starstar)
+    report = run_suite(spec, args.output)
     summary = report.summary
     if args.format == "structured":
         _emit_structured(
@@ -319,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--format", choices=("human", "structured"), default="human"
-    )
-    p_verify.add_argument(
-        "--mutant-starstar", action="store_true", help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
 

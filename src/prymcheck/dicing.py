@@ -217,16 +217,17 @@ def witness_is_sound(m: FunctionalMatrix, verdict: DicingVerdict) -> bool:
     return not all(c.denominator == 1 for c in coords)
 
 
-def dicing_bruteforce(
-    m: FunctionalMatrix, max_d: int = DEFAULT_BRUTEFORCE_MAX_D
-) -> bool:
+def dicing_bruteforce(m: FunctionalMatrix) -> bool:
     """Definitional check: for every nonsingular d-subset and every unit
     right-hand side, the rational solution must be a lattice point
     (integral coordinates in the lattice basis).  The solutions for all d
     unit right-hand sides are the columns of the submatrix's inverse, found
-    by one elimination per subset.  No minors involved."""
-    if m.d > max_d:
-        raise CapExceededError(f"bruteforce dicing capped at d <= {max_d}")
+    by one elimination per subset.  No minors involved.  Raises
+    CapExceededError when d exceeds DEFAULT_BRUTEFORCE_MAX_D."""
+    if m.d > DEFAULT_BRUTEFORCE_MAX_D:
+        raise CapExceededError(
+            f"bruteforce dicing capped at d <= {DEFAULT_BRUTEFORCE_MAX_D}"
+        )
     if m.d == 0:
         return True
     for subset in itertools.combinations(range(len(m.rows)), m.d):

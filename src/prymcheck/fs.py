@@ -69,18 +69,19 @@ def _crossings(g: EquivariantGraph, part1):
     return {e.id for e in g.edges if (e.tail in part1) != (e.head in part1)}
 
 
-def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
+def fs_bipartitions(g: EquivariantGraph):
     """All Friedman-Smith witnesses, in a deterministic order.
 
     Enumerates subsets of vertex orbits (part1 always contains the orbit of
     the smallest vertex id, so each bipartition appears once) and keeps
     those where both sides are connected and no crossing edge is bold.
+    Raises CapExceededError past DEFAULT_ORBIT_CAP vertex orbits.
     """
     require_valid(g)
     orbits = g.vertex_orbits()
-    if len(orbits) > orbit_cap:
+    if len(orbits) > DEFAULT_ORBIT_CAP:
         raise CapExceededError(
-            f"{len(orbits)} vertex orbits exceed the cap {orbit_cap}"
+            f"{len(orbits)} vertex orbits exceed the cap {DEFAULT_ORBIT_CAP}"
         )
     emap = g.involution.edges
     edge_orbits = g.edge_orbits()
@@ -104,14 +105,13 @@ def fs_bipartitions(g: EquivariantGraph, orbit_cap: int = DEFAULT_ORBIT_CAP):
     return tuple(out)
 
 
-def is_fs_degeneration(
-    g: EquivariantGraph, min_edges: int = 4, orbit_cap: int = DEFAULT_ORBIT_CAP
-):
+def is_fs_degeneration(g: EquivariantGraph, min_edges: int = 4):
     """The witness with the most crossings among those with at least
-    min_edges, or None; ties go to the first in enumeration order."""
+    min_edges, or None; ties go to the first in enumeration order.
+    Subject to fs_bipartitions' DEFAULT_ORBIT_CAP."""
     if min_edges < 2 or min_edges % 2:
         raise ValueError("min_edges must be an even number >= 2")
-    return _strongest(fs_bipartitions(g, orbit_cap), min_edges)
+    return _strongest(fs_bipartitions(g), min_edges)
 
 
 def _strongest(witnesses, min_edges: int):

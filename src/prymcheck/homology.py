@@ -185,22 +185,22 @@ def involution_on_chain(g: EquivariantGraph, chain: dict[str, int]) -> dict[str,
     return dict(sorted((emap[k], v) for k, v in chain.items()))
 
 
-def simple_cycles(g: EquivariantGraph, cap: int = DEFAULT_CYCLE_CAP):
+def simple_cycles(g: EquivariantGraph):
     """All simple cycles as cycle dicts, each exactly once up to sign and
     rotation, in a deterministic order.
 
     A loop is a cycle of length 1 and appears only as such.  Every other
     cycle visits distinct vertices.  The representative traverses the
     smallest edge id forward from its tail.  Raises CapExceededError when
-    more than cap cycles would be produced.
+    more than DEFAULT_CYCLE_CAP cycles would be produced.
     """
     require_valid(g)
     adj = _adjacency(g.vertex_ids, g.edges)
     out = []
 
     def emit(coords):
-        if len(out) >= cap:
-            raise CapExceededError(f"more than {cap} simple cycles")
+        if len(out) >= DEFAULT_CYCLE_CAP:
+            raise CapExceededError(f"more than {DEFAULT_CYCLE_CAP} simple cycles")
         out.append({k: 2 * v for k, v in sorted(coords.items())})
 
     for anchor_id in g.edge_ids:
@@ -310,19 +310,18 @@ def analyse(g: EquivariantGraph) -> Analysis:
     return Analysis(og, report, lattice, classify_edges(og, lattice))
 
 
-def classify_edge_by_cycles(
-    g: EquivariantGraph, edge_id: str, cap: int = DEFAULT_CYCLE_CAP
-) -> int:
+def classify_edge_by_cycles(g: EquivariantGraph, edge_id: str) -> int:
     """Independent classification of one edge via simple cycles.
 
     Type 3 iff some simple cycle runs through the edge exactly once while
     missing its partner; type 1 iff (omega - i omega)/2 has zero coordinate
-    at the edge for every simple cycle omega; type 2 otherwise.
+    at the edge for every simple cycle omega; type 2 otherwise.  Subject to
+    simple_cycles' DEFAULT_CYCLE_CAP.
     """
     og = auto_orient(g)
     if edge_id not in og.involution.edges:
         raise KeyError(edge_id)
-    return _cycle_type(simple_cycles(og, cap), edge_id, og.emap(edge_id))
+    return _cycle_type(simple_cycles(og), edge_id, og.emap(edge_id))
 
 
 def _cycle_type(cycles, edge_id: str, partner: str) -> int:

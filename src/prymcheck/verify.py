@@ -17,7 +17,6 @@ a newline-delimited report and persists any counterexample in full.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -320,12 +319,11 @@ def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
                             yield g
 
 
-def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> ConsistencyRecord:
+def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     """Run the whole pipeline on one valid graph and record every check.
 
-    A failing check is recorded, never raised.  mutate_starstar is the
-    harness self-test hook: it doubles every row of the (**) matrix, which
-    must produce recorded theorem2 failures on suitable graphs.
+    A failing check is recorded, never raised.  The oracle is consulted
+    only up to ORACLE_MAX_D.
     """
     a = analyse(g)
     og, report, lattice, classes = a.graph, a.report, a.lattice, a.classes
@@ -334,13 +332,6 @@ def check_graph(g: EquivariantGraph, *, mutate_starstar: bool = False) -> Consis
 
     m_star = star_matrix(lattice, classes)
     m_starstar = star_star_matrix(lattice, classes)
-    if mutate_starstar:
-        m_starstar = dataclasses.replace(
-            m_starstar,
-            rows=tuple(
-                (rep, tuple(2 * v for v in vec)) for rep, vec in m_starstar.rows
-            ),
-        )
     star_verdict = is_dicing(m_star)
     starstar_verdict = is_dicing(m_starstar)
     star = star_verdict.is_dicing
@@ -410,9 +401,7 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def run_suite(
-    spec: GenSpec, out_path, *, mutate_starstar: bool = False
-) -> SuiteReport:
+def run_suite(spec: GenSpec, out_path) -> SuiteReport:
     """Stream every ConsistencyRecord to out_path (newline-delimited),
     every failing graph to <stem>.counterexamples.ndjson (graph document
     plus the failing check names), and a summary to <stem>.summary.json.
@@ -430,7 +419,7 @@ def run_suite(
     per_check: dict[str, list[int]] = {}
     with open(out, "w") as report_fh, open(counter_path, "w") as counter_fh:
         for g in enumerate_graphs(spec):
-            record = check_graph(g, mutate_starstar=mutate_starstar)
+            record = check_graph(g)
             n_graphs += 1
             # Every field is a plain value, so the fields are the report line.
             report_fh.write(_dumps(vars(record)) + "\n")

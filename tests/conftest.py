@@ -1,8 +1,26 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from helpers import load_fixture
+from prymcheck import verify
+
+
+@pytest.fixture
+def doubled_starstar(monkeypatch):
+    """Harness self-test fault: every row of the (**) matrix that
+    check_graph builds is doubled, which must produce recorded theorem2
+    failures on suitable graphs."""
+    original = verify.star_star_matrix
+
+    def doubled(lattice, classes):
+        m = original(lattice, classes)
+        rows = tuple((rep, tuple(2 * v for v in vec)) for rep, vec in m.rows)
+        return dataclasses.replace(m, rows=rows)
+
+    monkeypatch.setattr(verify, "star_star_matrix", doubled)
 
 
 @pytest.fixture

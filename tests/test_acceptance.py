@@ -212,12 +212,11 @@ def test_criterion_10_determinism(tmp_path):
     )
 
 
-def test_harness_self_check(tmp_path):
+def test_harness_self_check(tmp_path, doubled_starstar):
     """The gate can actually fail: the mutant run must record failures."""
     report = run_suite(
         GenSpec(max_fixed_edges=2, max_edge_pairs=2, max_edge_orbits=2),
         tmp_path / "mutant.ndjson",
-        mutate_starstar=True,
     )
     assert not report.ok
     assert report.summary["per_check"]["theorem2_i_iii"]["fail"] > 0

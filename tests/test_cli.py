@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helpers import FIXTURES
+from prymcheck import fs
 from prymcheck.cli import main
 from prymcheck.dicing import condition_star, condition_star_star
 from prymcheck.fs import MAX_SPLITTINGS, is_fs_degeneration
@@ -152,6 +153,23 @@ class TestCheckPastFSCap:
         assert err == f"error: {self.CAP_MESSAGE}\n"
 
 
+class TestOrbitCapReadAtCallTime:
+    """The FS cap is read when a command runs, not when it is defined."""
+
+    @pytest.fixture(autouse=True)
+    def cap_one(self, monkeypatch):
+        monkeypatch.setattr(fs, "DEFAULT_ORBIT_CAP", 1)
+
+    def test_check_reports_skipped(self, capsys):
+        code, out, _ = run(capsys, "check", "--input", fixture_path("fs4"))
+        assert code == 0
+        assert "friedman-smith search skipped: 2 vertex orbits exceed the cap 1" in out
+
+    def test_fs_exits_three(self, capsys):
+        code, _, _ = run(capsys, "fs", "--input", fixture_path("fs4"))
+        assert code == 3
+
+
 class TestClassify:
     def test_human(self, capsys):
         code, out, _ = run(capsys, "classify", "--input", fixture_path("fs4tail"))
@@ -227,12 +245,11 @@ class TestVerify:
         assert payload["graphs"] > 0
         assert payload["per_check"]["theorem1"]["fail"] == 0
 
-    def test_structured_payload_is_the_summary(self, capsys, tmp_path):
+    def test_structured_payload_is_the_summary(self, capsys, tmp_path, doubled_starstar):
         # The mutant run has failures, so every summary field is exercised.
         out_path = tmp_path / "suite.ndjson"
         code, out, _ = run(
-            capsys, *self.ARGS, "--output", str(out_path), "--format", "structured",
-            "--mutant-starstar",
+            capsys, *self.ARGS, "--output", str(out_path), "--format", "structured"
         )
         assert code == 4
         payload = json.loads(out)
@@ -246,11 +263,9 @@ class TestVerify:
         assert payload.pop("summary_path") == str(summary_path)
         assert payload == json.loads(summary_path.read_text())
 
-    def test_mutant_exits_four(self, capsys, tmp_path):
+    def test_mutant_exits_four(self, capsys, tmp_path, doubled_starstar):
         out_path = tmp_path / "mut.ndjson"
-        code, out, _ = run(
-            capsys, *self.ARGS, "--output", str(out_path), "--mutant-starstar"
-        )
+        code, out, _ = run(capsys, *self.ARGS, "--output", str(out_path))
         assert code == 4
         assert (tmp_path / "mut.counterexamples.ndjson").read_text() != ""
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import fs_chain, load_fixture, make_graph
+from prymcheck import dicing
 from prymcheck.dicing import (
     STAR,
     STARSTAR,
@@ -192,10 +193,11 @@ class TestBruteforceOracle:
             for m in matrices(g):
                 assert dicing_bruteforce(m) == is_dicing(m).is_dicing
 
-    def test_cap(self, fs4):
+    def test_cap(self, fs4, monkeypatch):
         star, _ = matrices(fs4)
+        monkeypatch.setattr(dicing, "DEFAULT_BRUTEFORCE_MAX_D", 1)
         with pytest.raises(CapExceededError):
-            dicing_bruteforce(star, max_d=1)
+            dicing_bruteforce(star)
 
 
 class TestDeletionCriterion:

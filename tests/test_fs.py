@@ -135,9 +135,10 @@ class TestBipartitions:
                 assert w.crossing_count % 2 == 0
                 assert w.crossing_count == 2 * len(w.crossing_orbits)
 
-    def test_orbit_cap(self, fs2):
+    def test_orbit_cap(self, fs2, monkeypatch):
+        monkeypatch.setattr(fs, "DEFAULT_ORBIT_CAP", 1)
         with pytest.raises(CapExceededError):
-            fs_bipartitions(fs2, orbit_cap=1)
+            fs_bipartitions(fs2)
 
 
 class TestIsFS:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from helpers import fs_chain, load_fixture, make_graph
+from prymcheck import homology
 from prymcheck.errors import CapExceededError, InvalidGraphError
 from prymcheck.graphs import auto_orient, validate
 from prymcheck.homology import (
@@ -177,9 +178,22 @@ class TestSimpleCycles:
             {"l2": 2},
         )
 
-    def test_cap(self, fs4):
+    def test_cap(self, fs4, monkeypatch):
+        monkeypatch.setattr(homology, "DEFAULT_CYCLE_CAP", 3)
         with pytest.raises(CapExceededError):
-            simple_cycles(auto_orient(fs4), cap=3)
+            simple_cycles(auto_orient(fs4))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RecursionError,
+        reason="the walk recurses once per cycle vertex",
+    )
+    def test_long_bold_cycle(self):
+        n = 1500
+        ids = [f"v{k:04d}" for k in range(n)]
+        edges = [(f"e{k:04d}", ids[k], ids[(k + 1) % n]) for k in range(n)]
+        og = auto_orient(make_graph(ids, edges))
+        assert len(simple_cycles(og)) == 1
 
 
 class TestCycleDicts:

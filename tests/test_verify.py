@@ -314,8 +314,8 @@ class TestCheckGraph:
         assert "oracle_dicing" not in record.checks
         assert record.ok
 
-    def test_mutant_breaks_theorem2(self, boldbanana):
-        record = check_graph(boldbanana, mutate_starstar=True)
+    def test_mutant_breaks_theorem2(self, boldbanana, doubled_starstar):
+        record = check_graph(boldbanana)
         assert not record.starstar
         assert not record.checks["theorem2_i_iii"]
         assert not record.checks["theorem2_ii_iii"]
@@ -372,9 +372,9 @@ class TestRunSuite:
         assert report.summary["graphs"] == 0
         assert (tmp_path / "empty.ndjson").read_text() == ""
 
-    def test_mutant_suite_records_counterexamples(self, tmp_path):
+    def test_mutant_suite_records_counterexamples(self, tmp_path, doubled_starstar):
         out = tmp_path / "mut.ndjson"
-        report = run_suite(self.SMALL, out, mutate_starstar=True)
+        report = run_suite(self.SMALL, out)
         assert not report.ok
         assert report.summary["failed_graphs"] > 0
         assert report.summary["per_check"]["theorem2_i_iii"]["fail"] > 0

@@ -14,11 +14,12 @@ from prymcheck import (
     Involution,
     OrientedEdge,
     Vertex,
+    analyse,
     anti_invariant_lattice,
     auto_orient,
     classification_report,
-    classify_edge_by_cycles,
     classify_edges,
+    classify_edges_by_cycles,
     fundamental_cycles,
     involution_on_chain,
     rank_formula,
@@ -72,14 +73,15 @@ for cls in classify_edges(g, lattice):
 # An independent route to the same answer: walk all simple cycles and
 # look at the doubled coefficients at the edge and its partner.
 print("simple cycles:", list(simple_cycles(g)))
+by_cycles = classify_edges_by_cycles(g)
 for eid in ("a1", "b1"):
-    print(f"  cycle-based type of {eid}:", classify_edge_by_cycles(g, eid))
+    print(f"  cycle-based type of {eid}:", by_cycles[eid])
 
 # The 2-edge banana behaves differently: its single anti-invariant
 # generator is (2, -2) in doubled units, so G = 2 and the orbit has
 # type 2 -- the hallmark of the 2-edge Friedman-Smith example.
 print()
-print(classification_report(banana(1)))
+print(classification_report(analyse(banana(1))))
 
 # A fixed (bold) edge never carries anti-invariant mass: hang a bold
 # tail on the banana and its column is identically zero.
@@ -96,4 +98,4 @@ tailed = EquivariantGraph(
     ),
 )
 print()
-print(classification_report(tailed))
+print(classification_report(analyse(tailed)))

@@ -14,6 +14,7 @@ from prymcheck import (
     Involution,
     OrientedEdge,
     Vertex,
+    analyse,
     anti_invariant_lattice,
     auto_orient,
     classify_edges,
@@ -68,7 +69,7 @@ print(dicing_report(verdict))
 
 # Failing verdicts always carry a witness; witness_is_sound re-verifies
 # it by substitution, never by minors.
-print("witness sound:", witness_is_sound(m, verdict))
+print("witness sound:", witness_is_sound(verdict))
 
 # The definitional check -- solve every unit system rationally and test
 # lattice membership -- agrees with the minor criterion.
@@ -79,7 +80,7 @@ print()
 # Choosing d orbits of type != 1 whose STAR rows are independent is the
 # same as choosing d orbits whose deletion kills every anti-invariant
 # cycle.  On the 4-edge banana, d = 2 and the only 2-subset works:
-print("delete {a, b}:", deletion_criterion(fs4, ["a1", "b1"]))
+print("delete {a, b}:", deletion_criterion(analyse(fs4), ["a1", "b1"]))
 
 # A graph where dependence shows up: two parallel exchanged pairs plus
 # an exchanged path through a swapped vertex pair.  The path orbits p, q
@@ -105,8 +106,9 @@ pp = EquivariantGraph(
         },
     ),
 )
-print("delete {a, b, p}:", deletion_criterion(pp, ["a1", "b1", "p1"]))
-print("delete {a, p, q}:", deletion_criterion(pp, ["a1", "p1", "q1"]))
+pp_analysis = analyse(pp)
+print("delete {a, b, p}:", deletion_criterion(pp_analysis, ["a1", "b1", "p1"]))
+print("delete {a, p, q}:", deletion_criterion(pp_analysis, ["a1", "p1", "q1"]))
 print()
 
 # --- (**) always implies (*) ------------------------------------------

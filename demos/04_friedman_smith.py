@@ -47,21 +47,23 @@ def banana_with_tail(n_pairs, tail=0):
 # All equivariant bipartitions with connected parts and ordinary-only
 # crossings, enumerated deterministically:
 fs4 = banana_with_tail(2)
-for w in fs_bipartitions(fs4):
+fs4_witnesses = fs_bipartitions(fs4)
+for w in fs4_witnesses:
     print("bipartition:", sorted(w.part1), "|", sorted(w.part2),
           " crossing count", w.crossing_count)
 
-# is_fs_degeneration picks the bipartition with the most crossings that
-# meets the threshold (2n >= min_edges).
-print("FS >= 4:", is_fs_degeneration(fs4, 4) is not None)
-print("FS >= 2 on the 2-banana:", is_fs_degeneration(banana_with_tail(1), 2) is not None)
-print("FS >= 4 on the 2-banana:", is_fs_degeneration(banana_with_tail(1), 4) is not None)
+# is_fs_degeneration picks, from such a listing, the bipartition with
+# the most crossings that meets the threshold (2n >= min_edges).
+print("FS >= 4:", is_fs_degeneration(fs4_witnesses, 4) is not None)
+banana2 = fs_bipartitions(banana_with_tail(1))
+print("FS >= 2 on the 2-banana:", is_fs_degeneration(banana2, 2) is not None)
+print("FS >= 4 on the 2-banana:", is_fs_degeneration(banana2, 4) is not None)
 print()
 
 # Bold structure hanging off a part is absorbed into it: the banana with
 # a bold tail splits as {v1} | {v2, v3}, crossings untouched.
 tailed = banana_with_tail(2, tail=1)
-print(fs_report(tailed))
+print(fs_report(fs_bipartitions(tailed)))
 print()
 
 # complete_subgraph_pair grows two given disjoint connected equivariant
@@ -78,7 +80,7 @@ print()
 # holds.
 for name, g in [("2-banana", banana_with_tail(1)), ("4-banana", fs4)]:
     print(f"{name}: (*) holds = {condition_star(g).is_dicing}, "
-          f"FS>=4 = {is_fs_degeneration(g, 4) is not None}")
+          f"FS>=4 = {is_fs_degeneration(fs_bipartitions(g), 4) is not None}")
 print()
 
 # For an actual Friedman-Smith curve of total genus g with 2n nodes the

@@ -33,13 +33,13 @@ from .dicing import (
 from .errors import CapExceededError, InvalidGraphError
 from .fs import (
     FSWitness,
-    _fs_text,
-    _strongest,
     fs_bipartitions,
     fs_component_genera,
+    fs_report,
+    is_fs_degeneration,
 )
 from .graphs import load_graph
-from .homology import _classification_text, analyse
+from .homology import analyse, classification_report
 from .verify import GenSpec, run_suite
 
 SCHEMA_VERSION = 1
@@ -61,10 +61,11 @@ def _emit_structured(payload: dict, output: str | None) -> None:
 
 
 def _verdict_obj(verdict: DicingVerdict) -> dict:
+    m = verdict.matrix
     obj = {
         "holds": verdict.is_dicing,
-        "d": verdict.d,
-        "rows": verdict.n_rows,
+        "d": m.d,
+        "rows": len(m.rows),
         "witness": None,
     }
     if verdict.witness is not None:
@@ -75,7 +76,7 @@ def _verdict_obj(verdict: DicingVerdict) -> dict:
             "unit_rhs_row": w.row_subset[w.rhs],
             "point_doubled": {
                 eid: str(value)
-                for eid, value in zip(verdict.edge_ids, w.point)
+                for eid, value in zip(m.edge_ids, w.point)
                 if value
             },
             "units": "doubled; multiply by 1/2",
@@ -135,8 +136,8 @@ def cmd_check(args) -> int:
                     "starstar": _verdict_obj(starstar_verdict),
                 },
                 "fs": {
-                    "min2": _fs_obj(_strongest(witnesses, 2)),
-                    "min4": _fs_obj(_strongest(witnesses, 4)),
+                    "min2": _fs_obj(is_fs_degeneration(witnesses, 2)),
+                    "min4": _fs_obj(is_fs_degeneration(witnesses, 4)),
                 }
                 if skipped is None
                 else {"skipped": True, "reason": skipped},
@@ -149,10 +150,10 @@ def cmd_check(args) -> int:
     lines = [
         f"valid: yes ({len(og.vertices)} vertices, {len(og.edges)} edges; "
         f"bold: {len(report.bold_vertices)} vertices, {len(report.bold_edges)} edges)",
-        _classification_text(a),
+        classification_report(a),
         dicing_report(star_verdict),
         dicing_report(starstar_verdict),
-        _fs_text(witnesses)
+        fs_report(witnesses)
         if skipped is None
         else f"friedman-smith search skipped: {skipped}",
         f"indeterminacy: {'YES' if indeterminacy else 'NO'}",
@@ -173,13 +174,13 @@ def cmd_classify(args) -> int:
             args.output,
         )
         return 0
-    _emit(_classification_text(a), args.output)
+    _emit(classification_report(a), args.output)
     return 0
 
 
 def cmd_fs(args) -> int:
     witnesses = fs_bipartitions(load_graph(args.input))
-    witness = _strongest(witnesses, args.min_fs_edges)
+    witness = is_fs_degeneration(witnesses, args.min_fs_edges)
     if args.format == "structured":
         _emit_structured(
             {
@@ -191,7 +192,7 @@ def cmd_fs(args) -> int:
             args.output,
         )
         return 0
-    lines = [_fs_text(witnesses)]
+    lines = [fs_report(witnesses)]
     found = "YES" if witness is not None else "no"
     lines.append(
         f"friedman-smith degeneration with >= {args.min_fs_edges} crossing edges: {found}"

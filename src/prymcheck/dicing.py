@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import CapExceededError
 from .graphs import EquivariantGraph
-from .homology import AntiInvariantLattice, _anti_rows, analyse
+from .homology import Analysis, AntiInvariantLattice, analyse, anti_rows
 
 __all__ = [
     "STAR",
@@ -83,12 +83,14 @@ class DicingWitness:
 
 @dataclass(frozen=True)
 class DicingVerdict:
-    lattice_tag: str
-    d: int
-    n_rows: int
-    edge_ids: tuple[str, ...]
-    is_dicing: bool
+    """The verdict on one matrix: a dicing exactly when no witness."""
+
+    matrix: FunctionalMatrix
     witness: DicingWitness | None
+
+    @property
+    def is_dicing(self) -> bool:
+        return self.witness is None
 
 
 def _functional_matrix(
@@ -173,9 +175,8 @@ def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
         submatrix = [list(m.rows[i][1]) for i in subset]
         determinant = linalg.det(submatrix)
         if abs(determinant) >= 2:
-            witness = _build_witness(m, subset, submatrix, determinant)
-            return DicingVerdict(m.lattice_tag, m.d, n, m.edge_ids, False, witness)
-    return DicingVerdict(m.lattice_tag, m.d, n, m.edge_ids, True, None)
+            return DicingVerdict(m, _build_witness(m, subset, submatrix, determinant))
+    return DicingVerdict(m, None)
 
 
 def condition_star(g: EquivariantGraph) -> DicingVerdict:
@@ -190,15 +191,15 @@ def condition_star_star(g: EquivariantGraph) -> DicingVerdict:
     return is_dicing(star_star_matrix(a.lattice, a.classes))
 
 
-def witness_is_sound(m: FunctionalMatrix, verdict: DicingVerdict) -> bool:
+def witness_is_sound(verdict: DicingVerdict) -> bool:
     """Independent check of a failing verdict, avoiding minors entirely.
 
     The witness point must give the selected unit value under the selected
     functionals (read off the point's doubled coordinates directly) and must
     lie in the rational span but not in the tagged lattice.
     """
-    w = verdict.witness
-    if verdict.is_dicing or w is None:
+    m, w = verdict.matrix, verdict.witness
+    if w is None:
         return False
     for pos, rep in enumerate(w.row_subset):
         col = m.edge_ids.index(rep)
@@ -239,15 +240,15 @@ def dicing_bruteforce(m: FunctionalMatrix) -> bool:
     return True
 
 
-def deletion_criterion(g: EquivariantGraph, orbit_subset) -> bool:
-    """Whether deleting the chosen d edge orbits kills every anti-invariant
-    cycle, i.e. X^- of the deleted graph has rank 0.
+def deletion_criterion(a: Analysis, orbit_subset) -> bool:
+    """Whether deleting the chosen d edge orbits of the analysed graph kills
+    every anti-invariant cycle, i.e. X^- of the deleted graph has rank 0.
 
     orbit_subset must name exactly d distinct orbits (either member id is
     accepted), all of type 2 or 3.  Equivalent to linear independence of the
-    corresponding rows of the STAR matrix.
+    corresponding rows of the STAR matrix.  X^- of the deleted graph is
+    rebuilt from its own cycles, never read off a.lattice.
     """
-    a = analyse(g)
     classes = {cls.orbit_rep: cls for cls in a.classes}
     emap = a.graph.involution.edges
     reps = set()
@@ -262,24 +263,17 @@ def deletion_criterion(g: EquivariantGraph, orbit_subset) -> bool:
     for rep in sorted(reps):
         if classes[rep].type == 1:
             raise ValueError(f"orbit {rep!r} has type 1; only types 2 and 3 allowed")
-    return _deletion_kills_lattice(a.graph, reps)
-
-
-def _deletion_kills_lattice(og: EquivariantGraph, reps) -> bool:
-    """deletion_criterion for checked orbit representatives of an oriented
-    valid graph.  X^- of the deleted graph is rebuilt from its own cycles,
-    never read off the lattice of og."""
-    emap = og.involution.edges
-    removed = set(reps) | {emap[rep] for rep in reps}
-    remaining = [e for e in og.edges if e.id not in removed]
-    return not any(any(row) for row in _anti_rows(og.vertex_ids, remaining, emap))
+    removed = reps | {emap[rep] for rep in reps}
+    remaining = [e for e in a.graph.edges if e.id not in removed]
+    return not any(any(row) for row in anti_rows(a.graph.vertex_ids, remaining, emap))
 
 
 def dicing_report(verdict: DicingVerdict) -> str:
     """Human-readable lines for one dicing verdict."""
-    label = "(*)" if verdict.lattice_tag == STAR else "(**)"
+    m = verdict.matrix
+    label = "(*)" if m.lattice_tag == STAR else "(**)"
     head = f"condition {label}: {'holds' if verdict.is_dicing else 'FAILS'}"
-    lines = [head, f"  functional rows: {verdict.n_rows}, d = {verdict.d}"]
+    lines = [head, f"  functional rows: {len(m.rows)}, d = {m.d}"]
     if verdict.witness is not None:
         w = verdict.witness
         lines.append(
@@ -288,7 +282,7 @@ def dicing_report(verdict: DicingVerdict) -> str:
         )
         coords = ", ".join(
             f"{eid} = {value}"
-            for eid, value in zip(verdict.edge_ids, w.point)
+            for eid, value in zip(m.edge_ids, w.point)
             if value
         )
         lines.append(f"  point (doubled units; multiply by 1/2): {coords}")

@@ -105,17 +105,12 @@ def fs_bipartitions(g: EquivariantGraph):
     return tuple(out)
 
 
-def is_fs_degeneration(g: EquivariantGraph, min_edges: int = 4):
-    """The witness with the most crossings among those with at least
-    min_edges, or None; ties go to the first in enumeration order.
-    Subject to fs_bipartitions' DEFAULT_ORBIT_CAP."""
+def is_fs_degeneration(witnesses, min_edges: int = 4):
+    """The witness of a fs_bipartitions listing with the most crossings
+    among those with at least min_edges, or None; ties go to the first in
+    enumeration order."""
     if min_edges < 2 or min_edges % 2:
         raise ValueError("min_edges must be an even number >= 2")
-    return _strongest(fs_bipartitions(g), min_edges)
-
-
-def _strongest(witnesses, min_edges: int):
-    """is_fs_degeneration read off a listing of fs_bipartitions."""
     best = None
     for witness in witnesses:
         if witness.crossing_count >= min_edges:
@@ -254,16 +249,12 @@ def fs_component_genera(genus: int, n: int):
     return tuple((k, total - k) for k in range(count))
 
 
-def fs_report(g: EquivariantGraph) -> str:
-    """Human-readable Friedman-Smith summary at thresholds 2 and 4."""
-    return _fs_text(fs_bipartitions(g))
-
-
-def _fs_text(witnesses) -> str:
-    """fs_report read off a listing of fs_bipartitions."""
+def fs_report(witnesses) -> str:
+    """Human-readable summary of a fs_bipartitions listing at thresholds
+    2 and 4."""
     lines = [f"friedman-smith bipartitions with ordinary crossings: {len(witnesses)}"]
     for threshold in (2, 4):
-        best = _strongest(witnesses, threshold)
+        best = is_fs_degeneration(witnesses, threshold)
         if best is None:
             lines.append(f"  threshold {threshold}: no")
         else:

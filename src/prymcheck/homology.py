@@ -50,10 +50,11 @@ __all__ = [
     "fundamental_cycles",
     "involution_on_chain",
     "simple_cycles",
+    "anti_rows",
     "anti_invariant_lattice",
     "rank_formula",
     "classify_edges",
-    "classify_edge_by_cycles",
+    "classify_edges_by_cycles",
     "classification_report",
 ]
 
@@ -180,7 +181,8 @@ def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
 def involution_on_chain(g: EquivariantGraph, chain: dict[str, int]) -> dict[str, int]:
     """Push a cycle dict forward along the involution: the coordinate of
     the image at edge i(j) equals the coordinate of the input at edge j.
-    Only meaningful once the orientation is normalized."""
+    Requires a valid graph with normalized orientation."""
+    _require_oriented(g)
     emap = g.involution.edges
     return dict(sorted((emap[k], v) for k, v in chain.items()))
 
@@ -231,7 +233,7 @@ def simple_cycles(g: EquivariantGraph):
     return tuple(out)
 
 
-def _anti_rows(vertex_ids, edges, emap):
+def anti_rows(vertex_ids, edges, emap):
     """Generator rows of X^- (doubled units) over sorted edge-id columns,
     for the graph on vertex_ids spanned by edges (compatibly oriented,
     closed under the edge involution emap)."""
@@ -260,7 +262,7 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     _require_oriented(g)
     edge_ids = g.edge_ids
     rows = tuple(
-        map(tuple, linalg.hnf_rows(_anti_rows(g.vertex_ids, g.edges, g.involution.edges)))
+        map(tuple, linalg.hnf_rows(anti_rows(g.vertex_ids, g.edges, g.involution.edges)))
     )
     # With no rows a column gcd is math.gcd() = 0.
     gcds = {eid: math.gcd(*(row[col] for row in rows)) for col, eid in enumerate(edge_ids)}
@@ -274,14 +276,12 @@ def rank_formula(g: EquivariantGraph) -> int:
     return report.n_e - report.c_e
 
 
-def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice | None = None):
-    """Classify every edge orbit by the column gcd of the X^- basis.
+def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice):
+    """Classify every edge orbit by the column gcd of the X^- basis, where
+    lattice is anti_invariant_lattice(auto_orient(g)).
 
-    If lattice is given it must be anti_invariant_lattice(auto_orient(g)).
     Returns EdgeClass entries sorted by orbit representative.
     """
-    if lattice is None:
-        return analyse(g).classes
     require_valid(g)
     out = []
     for rep, partner in g.edge_orbits():
@@ -310,43 +310,36 @@ def analyse(g: EquivariantGraph) -> Analysis:
     return Analysis(og, report, lattice, classify_edges(og, lattice))
 
 
-def classify_edge_by_cycles(g: EquivariantGraph, edge_id: str) -> int:
-    """Independent classification of one edge via simple cycles.
+def classify_edges_by_cycles(g: EquivariantGraph) -> dict[str, int]:
+    """Independent classification of every edge via simple cycles, as
+    {edge id: type}.
 
-    Type 3 iff some simple cycle runs through the edge exactly once while
-    missing its partner; type 1 iff (omega - i omega)/2 has zero coordinate
-    at the edge for every simple cycle omega; type 2 otherwise.  Subject to
-    simple_cycles' DEFAULT_CYCLE_CAP.
+    Edge j has type 3 iff some simple cycle runs through j exactly once
+    while missing its partner; type 1 iff (omega - i omega)/2 has zero
+    coordinate at j for every simple cycle omega; type 2 otherwise.
+    Subject to simple_cycles' DEFAULT_CYCLE_CAP.
     """
     og = auto_orient(g)
-    if edge_id not in og.involution.edges:
-        raise KeyError(edge_id)
-    return _cycle_type(simple_cycles(og), edge_id, og.emap(edge_id))
+    emap = og.involution.edges
+    unit_alone = set()
+    nonzero = set()
+    for cycle in simple_cycles(og):
+        for eid, value in cycle.items():
+            partner = emap[eid]
+            image = cycle.get(partner, 0)
+            if abs(value) == 2 and image == 0:
+                unit_alone.add(eid)
+            if value != image:
+                nonzero.update((eid, partner))
+    return {
+        eid: 3 if eid in unit_alone else 2 if eid in nonzero else 1
+        for eid in og.edge_ids
+    }
 
 
-def _cycle_type(cycles, edge_id: str, partner: str) -> int:
-    """classify_edge_by_cycles read off a listing of all simple cycles."""
-    saw_unit_alone = False
-    saw_nonzero = False
-    for cycle in cycles:
-        a = cycle.get(edge_id, 0)
-        b = cycle.get(partner, 0)
-        if abs(a) == 2 and b == 0:
-            saw_unit_alone = True
-        if a != b:
-            saw_nonzero = True
-    if saw_unit_alone:
-        return 3
-    return 2 if saw_nonzero else 1
-
-
-def classification_report(g: EquivariantGraph) -> str:
-    """Human-readable classification of all edge orbits."""
-    return _classification_text(analyse(g))
-
-
-def _classification_text(a: Analysis) -> str:
-    """classification_report read off an Analysis."""
+def classification_report(a: Analysis) -> str:
+    """Human-readable classification of all edge orbits of an analysed
+    graph."""
     lat = a.lattice
     lines = [
         f"rank d = {lat.rank} (exchanged edge pairs {a.report.n_e} - exchanged vertex pairs {a.report.c_e})",

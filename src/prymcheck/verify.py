@@ -25,7 +25,7 @@ from typing import Iterator
 
 from . import linalg
 from .dicing import (
-    _deletion_kills_lattice,
+    deletion_criterion,
     dicing_bruteforce,
     is_dicing,
     star_matrix,
@@ -33,7 +33,7 @@ from .dicing import (
     witness_is_sound,
 )
 from .errors import CapExceededError
-from .fs import _strongest, fs_bipartitions
+from .fs import fs_bipartitions, is_fs_degeneration
 from .graphs import (
     EquivariantGraph,
     Involution,
@@ -43,7 +43,7 @@ from .graphs import (
     components,
     validate,
 )
-from .homology import _cycle_type, analyse, simple_cycles
+from .homology import analyse, classify_edges_by_cycles
 
 __all__ = [
     "GenSpec",
@@ -338,9 +338,9 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     starstar = starstar_verdict.is_dicing
 
     witnesses = fs_bipartitions(og)
-    fs2 = _strongest(witnesses, 2) is not None
-    fs4 = _strongest(witnesses, 4) is not None
-    cycles = simple_cycles(og)
+    fs2 = is_fs_degeneration(witnesses, 2) is not None
+    fs4 = is_fs_degeneration(witnesses, 4) is not None
+    by_cycles = classify_edges_by_cycles(og)
     col = {eid: k for k, eid in enumerate(lattice.edge_ids)}
     image_col = [col[og.emap(eid)] for eid in lattice.edge_ids]
 
@@ -355,8 +355,7 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
         "gcd_bound": all(v in (0, 1, 2) for v in lattice.edge_gcds.values())
         and all(c.type == 1 for c in classes if og.is_bold_edge(c.orbit_rep)),
         "classifier_agreement": all(
-            _cycle_type(cycles, c.orbit_rep, c.partner) == c.type
-            and _cycle_type(cycles, c.partner, c.orbit_rep) == c.type
+            by_cycles[c.orbit_rep] == by_cycles[c.partner] == c.type
             for c in classes
         ),
     }
@@ -371,16 +370,16 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     deletion_ok = True
     for subset in itertools.combinations(nontrivial, d):
         independent = linalg.det([list(rows_by_rep[rep]) for rep in subset]) != 0
-        if _deletion_kills_lattice(og, subset) != independent:
+        if deletion_criterion(a, subset) != independent:
             deletion_ok = False
             break
     checks["deletion"] = deletion_ok
 
     sound = True
     if not star:
-        sound = sound and witness_is_sound(m_star, star_verdict)
+        sound = sound and witness_is_sound(star_verdict)
     if not starstar:
-        sound = sound and witness_is_sound(m_starstar, starstar_verdict)
+        sound = sound and witness_is_sound(starstar_verdict)
     checks["witness_soundness"] = sound
 
     return ConsistencyRecord(

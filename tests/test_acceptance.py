@@ -18,7 +18,7 @@ import pytest
 
 from helpers import load_fixture, relabel
 from prymcheck.fs import fs_component_genera
-from prymcheck.homology import classify_edges
+from prymcheck.homology import analyse
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs, run_suite
 
 FAMILY_SPEC = GenSpec(
@@ -87,7 +87,7 @@ def test_criterion_03_fixture_table():
     for name, (star, starstar, fs2, fs4, d, types) in expected.items():
         g = load_fixture(name)
         record = check_graph(g)
-        got_types = {cls.type for cls in classify_edges(g)}
+        got_types = {cls.type for cls in analyse(g).classes}
         got = (record.star, record.starstar, record.fs2, record.fs4, record.d, got_types)
         if got != (star, starstar, fs2, fs4, d, types):
             mismatches.append(f"{name}: {got}")

@@ -8,7 +8,7 @@ from helpers import FIXTURES
 from prymcheck import fs
 from prymcheck.cli import main
 from prymcheck.dicing import condition_star, condition_star_star
-from prymcheck.fs import MAX_SPLITTINGS, is_fs_degeneration
+from prymcheck.fs import MAX_SPLITTINGS, fs_bipartitions, is_fs_degeneration
 from prymcheck.graphs import load_graph
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
@@ -56,9 +56,9 @@ class TestCheck:
             assert payload["conditions"]["star"]["holds"] == star.is_dicing
             assert payload["conditions"]["starstar"]["holds"] == starstar.is_dicing
             assert payload["indeterminacy"] == (not star.is_dicing)
-            assert payload["d"] == star.d
+            assert payload["d"] == star.matrix.d
             assert (payload["fs"]["min4"] is not None) == (
-                is_fs_degeneration(g, 4) is not None
+                is_fs_degeneration(fs_bipartitions(g), 4) is not None
             )
 
     def test_human_structured_parity(self, capsys):

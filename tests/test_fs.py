@@ -152,27 +152,27 @@ class TestIsFS:
         }
         for name, (at2, at4) in expected.items():
             g = load_fixture(name)
-            assert (is_fs_degeneration(g, 2) is not None) is at2, name
-            assert (is_fs_degeneration(g, 4) is not None) is at4, name
+            assert (is_fs_degeneration(fs_bipartitions(g), 2) is not None) is at2, name
+            assert (is_fs_degeneration(fs_bipartitions(g), 4) is not None) is at4, name
 
     def test_fs6(self):
-        witness = is_fs_degeneration(fs_chain(3), 4)
+        witness = is_fs_degeneration(fs_bipartitions(fs_chain(3)), 4)
         assert witness is not None
         assert witness.crossing_count == 6
 
     def test_max_crossing_selected(self):
-        witness = is_fs_degeneration(lopsided_chain(), 2)
+        witness = is_fs_degeneration(fs_bipartitions(lopsided_chain()), 2)
         assert witness.part1 == {"v1", "v2"}
         assert witness.crossing_count == 4
 
     def test_tie_goes_to_first(self):
-        witness = is_fs_degeneration(chain_three(), 2)
+        witness = is_fs_degeneration(fs_bipartitions(chain_three()), 2)
         assert witness.part1 == {"v1"}
 
     @pytest.mark.parametrize("bad", [0, 1, 3, -2])
     def test_min_edges_must_be_even_positive(self, fs2, bad):
         with pytest.raises(ValueError):
-            is_fs_degeneration(fs2, bad)
+            is_fs_degeneration(fs_bipartitions(fs2), bad)
 
 
 class TestCompletion:
@@ -275,12 +275,12 @@ class TestComponentGenera:
 
 class TestReport:
     def test_fs4tail(self, fs4tail):
-        text = fs_report(fs4tail)
+        text = fs_report(fs_bipartitions(fs4tail))
         assert "threshold 2: YES" in text
         assert "threshold 4: YES" in text
         assert "count 4" in text
 
     def test_square(self, square):
-        text = fs_report(square)
+        text = fs_report(fs_bipartitions(square))
         assert "threshold 2: no" in text
         assert "threshold 4: no" in text

@@ -14,8 +14,8 @@ from prymcheck.homology import (
     analyse,
     anti_invariant_lattice,
     classification_report,
-    classify_edge_by_cycles,
     classify_edges,
+    classify_edges_by_cycles,
     fundamental_cycles,
     involution_on_chain,
     rank_formula,
@@ -135,6 +135,15 @@ class TestInvolutionOnChain:
         og = auto_orient(square)
         for chain in fundamental_cycles(og).chains:
             assert involution_on_chain(og, involution_on_chain(og, chain)) == chain
+
+    def test_requires_orientation(self):
+        # e: a -> b and f: b -> a are exchanged; stored as given, the
+        # pushforward would map {e: 2, f: 2} to itself, while its true
+        # image is {e: -2, f: -2}.
+        g = make_graph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")], eswaps=[("e", "f")])
+        assert validate(g).ok and not g.oriented
+        with pytest.raises(ValueError, match="orientation"):
+            involution_on_chain(g, {"e": 2, "f": 2})
 
 
 class TestSimpleCycles:
@@ -345,28 +354,28 @@ class TestRankFormula:
 
 class TestClassifyEdges:
     def test_fs2(self, fs2):
-        assert classify_edges(fs2) == (EdgeClass("e1", "e2", 2, 1),)
+        assert analyse(fs2).classes == (EdgeClass("e1", "e2", 2, 1),)
 
     def test_fs4(self, fs4):
-        assert classify_edges(fs4) == (
+        assert analyse(fs4).classes == (
             EdgeClass("a1", "a2", 3, 2),
             EdgeClass("b1", "b2", 3, 2),
         )
 
     def test_boldbanana(self, boldbanana):
-        assert classify_edges(boldbanana) == (
+        assert analyse(boldbanana).classes == (
             EdgeClass("b", "b", 1, None),
             EdgeClass("e1", "e2", 3, 2),
         )
 
     def test_square(self, square):
-        assert classify_edges(square) == (
+        assert analyse(square).classes == (
             EdgeClass("a", "ap", 1, None),
             EdgeClass("b", "bp", 1, None),
         )
 
     def test_fs4tail(self, fs4tail):
-        assert classify_edges(fs4tail) == (
+        assert analyse(fs4tail).classes == (
             EdgeClass("a1", "a2", 3, 2),
             EdgeClass("b1", "b2", 3, 2),
             EdgeClass("c", "c", 1, None),
@@ -374,7 +383,7 @@ class TestClassifyEdges:
 
     def test_bold_edges_type_1(self, boldbanana, fs4tail):
         for g in (boldbanana, fs4tail):
-            for cls in classify_edges(g):
+            for cls in analyse(g).classes:
                 if cls.orbit_rep == cls.partner:
                     assert cls.type == 1
 
@@ -384,24 +393,26 @@ class TestClassifyByCycles:
         graphs = [load_fixture(name) for name in ALL_FIXTURES]
         graphs += [two_loops(), exchanged_two_cycle(), pair_with_loops(), fs_chain(3)]
         for g in graphs:
-            by_gcd = {cls.orbit_rep: cls.type for cls in classify_edges(g)}
+            by_gcd = {cls.orbit_rep: cls.type for cls in analyse(g).classes}
+            by_cycles = classify_edges_by_cycles(g)
+            assert list(by_cycles) == list(g.edge_ids)
             for rep, partner in g.edge_orbits():
-                got = classify_edge_by_cycles(g, rep)
+                got = by_cycles[rep]
                 assert got == by_gcd[rep], (rep, got, by_gcd[rep])
-                assert classify_edge_by_cycles(g, partner) == by_gcd[rep]
+                assert by_cycles[partner] == by_gcd[rep]
 
     def test_fs4_type_3_from_six_cycles(self, fs4):
         assert len(simple_cycles(auto_orient(fs4))) == 6
-        assert classify_edge_by_cycles(fs4, "a1") == 3
+        assert classify_edges_by_cycles(fs4)["a1"] == 3
 
     def test_unknown_edge(self, fs4):
         with pytest.raises(KeyError):
-            classify_edge_by_cycles(fs4, "zz")
+            classify_edges_by_cycles(fs4)["zz"]
 
 
 class TestClassificationReport:
     def test_fs4tail_text(self, fs4tail):
-        text = classification_report(fs4tail)
+        text = classification_report(analyse(fs4tail))
         assert "rank d = 2" in text
         assert "a1 ~ a2: type 3, m = 2, G = 1, values = [1, 0]" in text
         assert "c (fixed): type 1, G = 0, values = [0, 0]" in text
@@ -417,7 +428,7 @@ class TestAnalyse:
             assert a.graph == og
             assert a.report == validate(og)
             assert a.lattice == anti_invariant_lattice(og)
-            assert a.classes == classify_edges(g)
+            assert a.classes == classify_edges(og, anti_invariant_lattice(og))
 
     def test_rejects_invalid_graph(self):
         g = make_graph(["a", "b"], [])

@@ -12,7 +12,7 @@ from prymcheck import (
     InvalidGraphError,
     arithmetic_genus,
     auto_orient,
-    bold_subgraph,
+    bold_components,
     canonical_json,
     parse_graph,
     validate,
@@ -67,8 +67,7 @@ print("canonical encoding:", canonical_json(og)[:60], "...")
 
 # The bold subgraph is what the involution fixes pointwise.  Here it is
 # the two isolated fixed vertices -- two components, no bold edges.
-bold = bold_subgraph(og)
-print("bold components:", [sorted(c.vertices) for c in bold.components])
+print("bold components:", [sorted(c) for c in bold_components(og)])
 
 # Fixed edges whose endpoints are *exchanged* would be type-2 nodes;
 # those curves are excluded, and validation rejects the graph outright.

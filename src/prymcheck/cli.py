@@ -64,7 +64,7 @@ def _verdict_obj(verdict: DicingVerdict) -> dict:
     m = verdict.matrix
     obj = {
         "holds": verdict.is_dicing,
-        "d": m.d,
+        "d": m.lattice.rank,
         "rows": len(m.rows),
         "witness": None,
     }
@@ -76,7 +76,7 @@ def _verdict_obj(verdict: DicingVerdict) -> dict:
             "unit_rhs_row": w.row_subset[w.rhs],
             "point_doubled": {
                 eid: str(value)
-                for eid, value in zip(m.edge_ids, w.point)
+                for eid, value in zip(m.lattice.edge_ids, w.point)
                 if value
             },
             "units": "doubled; multiply by 1/2",

@@ -23,7 +23,6 @@ doubled edge coordinates, and the non-integral basis coefficient.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,13 +56,11 @@ DEFAULT_BRUTEFORCE_MAX_D = 6
 
 @dataclass(frozen=True)
 class FunctionalMatrix:
-    """Rows of hyperplane functionals in the X^- basis; carries the basis
-    (doubled units) so verdicts can report points in edge coordinates."""
+    """Rows of hyperplane functionals in the basis of the lattice X^- they
+    were read from; verdicts report points in its edge coordinates."""
 
     lattice_tag: str
-    d: int
-    edge_ids: tuple[str, ...]
-    basis: tuple[tuple[int, ...], ...]
+    lattice: AntiInvariantLattice
     rows: tuple[tuple[str, tuple[int, ...]], ...]
 
     @property
@@ -111,13 +108,12 @@ def _functional_matrix(
                 )
             values = [v // gcd for v in values]
         rows.append((cls.orbit_rep, tuple(values)))
-    m = FunctionalMatrix(tag, lattice.rank, lattice.edge_ids, lattice.rows, tuple(rows))
-    if linalg.rank([list(vec) for _, vec in m.rows]) != m.d:
+    if linalg.rank([list(vec) for _, vec in rows]) != lattice.rank:
         raise RuntimeError(
-            f"{tag} matrix rank is not d = {m.d}; the type != 1 functionals "
-            "must span the dual of X^-, so this is a bug upstream"
+            f"{tag} matrix rank is not d = {lattice.rank}; the type != 1 "
+            "functionals must span the dual of X^-, so this is a bug upstream"
         )
-    return m
+    return FunctionalMatrix(tag, lattice, tuple(rows))
 
 
 def star_matrix(lattice: AntiInvariantLattice, classes) -> FunctionalMatrix:
@@ -132,17 +128,19 @@ def star_star_matrix(lattice: AntiInvariantLattice, classes) -> FunctionalMatrix
 
 def _build_witness(m: FunctionalMatrix, subset, submatrix, determinant) -> DicingWitness:
     ids = tuple(m.rows[i][0] for i in subset)
-    for r in range(m.d):
-        rhs = [1 if k == r else 0 for k in range(m.d)]
+    basis = m.lattice.rows
+    d = m.lattice.rank
+    for r in range(d):
+        rhs = [1 if k == r else 0 for k in range(d)]
         coeffs = linalg.solve(submatrix, rhs)
         bad = next((k for k, c in enumerate(coeffs) if c.denominator != 1), None)
         if bad is None:
             continue
         point = []
-        for col in range(len(m.edge_ids)):
+        for col in range(len(m.lattice.edge_ids)):
             point.append(
                 sum(
-                    (c * (m.scale * m.basis[k][col]) for k, c in enumerate(coeffs)),
+                    (c * (m.scale * basis[k][col]) for k, c in enumerate(coeffs)),
                     Fraction(0),
                 )
             )
@@ -164,14 +162,14 @@ def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
     first offending minor becomes the witness, so the verdict is
     deterministic.  d = 0 is vacuously a dicing.
     """
-    n = len(m.rows)
-    if m.d > 0 and n < m.d:
+    d = m.lattice.rank
+    if d == 0:
+        return DicingVerdict(m, None)
+    if len(m.rows) < d:
         raise RuntimeError(
             "fewer functional rows than d; the matrix invariant is broken"
         )
-    for subset in itertools.combinations(range(n), m.d):
-        if m.d == 0:
-            break
+    for subset in itertools.combinations(range(len(m.rows)), d):
         submatrix = [list(m.rows[i][1]) for i in subset]
         determinant = linalg.det(submatrix)
         if abs(determinant) >= 2:
@@ -201,17 +199,16 @@ def witness_is_sound(verdict: DicingVerdict) -> bool:
     m, w = verdict.matrix, verdict.witness
     if w is None:
         return False
+    lattice = m.lattice
     for pos, rep in enumerate(w.row_subset):
-        col = m.edge_ids.index(rep)
-        z = Fraction(w.point[col], 2)
+        z = Fraction(w.point[lattice.edge_ids.index(rep)], 2)
         if m.lattice_tag == STAR:
-            gcd = math.gcd(*(row[col] for row in m.basis))
-            value = Fraction(2, gcd) * z
+            value = Fraction(2, lattice.edge_gcds[rep]) * z
         else:
             value = z
         if value != (1 if pos == w.rhs else 0):
             return False
-    scaled = [[m.scale * x for x in row] for row in m.basis]
+    scaled = [[m.scale * x for x in row] for row in lattice.rows]
     coords = linalg.span_coords(scaled, list(w.point))
     if coords is None:
         return False
@@ -225,13 +222,14 @@ def dicing_bruteforce(m: FunctionalMatrix) -> bool:
     unit right-hand sides are the columns of the submatrix's inverse, found
     by one elimination per subset.  No minors involved.  Raises
     CapExceededError when d exceeds DEFAULT_BRUTEFORCE_MAX_D."""
-    if m.d > DEFAULT_BRUTEFORCE_MAX_D:
+    d = m.lattice.rank
+    if d > DEFAULT_BRUTEFORCE_MAX_D:
         raise CapExceededError(
             f"bruteforce dicing capped at d <= {DEFAULT_BRUTEFORCE_MAX_D}"
         )
-    if m.d == 0:
+    if d == 0:
         return True
-    for subset in itertools.combinations(range(len(m.rows)), m.d):
+    for subset in itertools.combinations(range(len(m.rows)), d):
         inv = linalg.inverse([list(m.rows[i][1]) for i in subset])
         if inv is None:
             continue
@@ -273,7 +271,7 @@ def dicing_report(verdict: DicingVerdict) -> str:
     m = verdict.matrix
     label = "(*)" if m.lattice_tag == STAR else "(**)"
     head = f"condition {label}: {'holds' if verdict.is_dicing else 'FAILS'}"
-    lines = [head, f"  functional rows: {len(m.rows)}, d = {m.d}"]
+    lines = [head, f"  functional rows: {len(m.rows)}, d = {m.lattice.rank}"]
     if verdict.witness is not None:
         w = verdict.witness
         lines.append(
@@ -282,7 +280,7 @@ def dicing_report(verdict: DicingVerdict) -> str:
         )
         coords = ", ".join(
             f"{eid} = {value}"
-            for eid, value in zip(m.edge_ids, w.point)
+            for eid, value in zip(m.lattice.edge_ids, w.point)
             if value
         )
         lines.append(f"  point (doubled units; multiply by 1/2): {coords}")

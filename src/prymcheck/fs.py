@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .graphs import EquivariantGraph, bold_subgraph, components, require_valid
+from .graphs import EquivariantGraph, bold_components, components, require_valid
 
 __all__ = [
     "DEFAULT_ORBIT_CAP",
@@ -64,9 +64,20 @@ class SubgraphPair:
     edges2: frozenset[str]
 
 
-def _crossings(g: EquivariantGraph, part1):
-    """Crossing edge ids for the bipartition (part1, rest)."""
-    return {e.id for e in g.edges if (e.tail in part1) != (e.head in part1)}
+def _witness(g: EquivariantGraph, part1, all_vertices, edge_orbits) -> FSWitness | None:
+    """The witness with sides part1 and all_vertices - part1, or None when a
+    side is disconnected or a bold edge crosses; edge_orbits is
+    g.edge_orbits()."""
+    part2 = all_vertices - part1
+    if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
+        return None
+    crossing = {e.id for e in g.edges if (e.tail in part1) != (e.head in part1)}
+    if any(g.is_bold_edge(eid) for eid in crossing):
+        return None
+    # Crossing sets are involution-invariant, so an orbit crosses exactly
+    # when its representative does.
+    crossing_orbits = tuple(o for o in edge_orbits if o[0] in crossing)
+    return FSWitness(part1, part2, crossing_orbits, len(crossing))
 
 
 def fs_bipartitions(g: EquivariantGraph):
@@ -83,25 +94,16 @@ def fs_bipartitions(g: EquivariantGraph):
         raise CapExceededError(
             f"{len(orbits)} vertex orbits exceed the cap {DEFAULT_ORBIT_CAP}"
         )
-    emap = g.involution.edges
+    all_vertices = frozenset(g.vertex_ids)
     edge_orbits = g.edge_orbits()
     out = []
-    full = (1 << len(orbits)) - 1
-    all_vertices = frozenset(g.vertex_ids)
-    for mask in range(1, full, 2):
+    for mask in range(1, (1 << len(orbits)) - 1, 2):
         part1 = frozenset(
             v for bit, orbit in enumerate(orbits) if mask >> bit & 1 for v in orbit
         )
-        part2 = all_vertices - part1
-        if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
-            continue
-        crossing = _crossings(g, part1)
-        if any(emap[eid] == eid for eid in crossing):
-            continue
-        # Crossing sets are involution-invariant, so an orbit crosses
-        # exactly when its representative does.
-        crossing_orbits = tuple(o for o in edge_orbits if o[0] in crossing)
-        out.append(FSWitness(part1, part2, crossing_orbits, len(crossing)))
+        witness = _witness(g, part1, all_vertices, edge_orbits)
+        if witness is not None:
+            out.append(witness)
     return tuple(out)
 
 
@@ -185,21 +187,20 @@ def complete_subgraph_pair(
             f"edges, need at least {min_edges}"
         )
 
-    bold = bold_subgraph(g)
-    for comp in bold.components:
-        if comp.vertices & pair.vertices1 and comp.vertices & pair.vertices2:
+    bold = bold_components(g)
+    for comp in bold:
+        if comp & pair.vertices1 and comp & pair.vertices2:
             raise ValueError(
-                "parts are connected by a bold path through "
-                f"{sorted(comp.vertices)}"
+                f"parts are connected by a bold path through {sorted(comp)}"
             )
 
     verts1 = set(pair.vertices1)
     verts2 = set(pair.vertices2)
-    for comp in bold.components:
-        if comp.vertices & verts1:
-            verts1 |= comp.vertices
-        elif comp.vertices & verts2:
-            verts2 |= comp.vertices
+    for comp in bold:
+        if comp & verts1:
+            verts1 |= comp
+        elif comp & verts2:
+            verts2 |= comp
 
     outside = set(g.vertex_ids) - verts1 - verts2
     for comp in components(outside, g.edges):
@@ -218,17 +219,12 @@ def complete_subgraph_pair(
                 "should be connected"
             )
 
-    part1 = frozenset(verts1)
-    part2 = frozenset(g.vertex_ids) - part1
-    crossing = _crossings(g, part1)
-    if any(emap[eid] == eid for eid in crossing):
-        raise RuntimeError("completion left a bold crossing edge; this is a bug")
-    if len(crossing) < len(ordinary_direct):
+    witness = _witness(g, frozenset(verts1), frozenset(g.vertex_ids), g.edge_orbits())
+    if witness is None:
+        raise RuntimeError("completion is not a Friedman-Smith witness; this is a bug")
+    if witness.crossing_count < len(ordinary_direct):
         raise RuntimeError("completion lost connecting edges; this is a bug")
-    if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
-        raise RuntimeError("completion produced a disconnected part; this is a bug")
-    crossing_orbits = tuple(o for o in g.edge_orbits() if o[0] in crossing)
-    return FSWitness(part1, part2, crossing_orbits, len(crossing))
+    return witness
 
 
 def fs_component_genera(genus: int, n: int):

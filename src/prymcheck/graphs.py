@@ -30,8 +30,6 @@ __all__ = [
     "Involution",
     "EquivariantGraph",
     "ValidationReport",
-    "BoldComponent",
-    "BoldSubgraph",
     "parse_graph",
     "graph_from_document",
     "load_graph",
@@ -41,7 +39,7 @@ __all__ = [
     "validate",
     "require_valid",
     "auto_orient",
-    "bold_subgraph",
+    "bold_components",
     "components",
     "arithmetic_genus",
 ]
@@ -147,22 +145,6 @@ class ValidationReport:
     bold_edges: frozenset[str] | None = None
     n_e: int | None = None
     c_e: int | None = None
-
-
-@dataclass(frozen=True)
-class BoldComponent:
-    vertices: frozenset[str]
-    edges: frozenset[str]
-
-
-@dataclass(frozen=True)
-class BoldSubgraph:
-    """The union of bold vertices and bold edges, with its connected
-    components (sorted by smallest vertex id)."""
-
-    vertices: frozenset[str]
-    edges: frozenset[str]
-    components: tuple[BoldComponent, ...]
 
 
 def parse_graph(text: str) -> EquivariantGraph:
@@ -426,17 +408,11 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
     return replace(g, edges=tuple(oriented[e.id] for e in g.edges), oriented=True)
 
 
-def bold_subgraph(g: EquivariantGraph) -> BoldSubgraph:
-    """The bold subgraph B (fixed vertices and fixed edges) and its
-    connected components."""
+def bold_components(g: EquivariantGraph) -> tuple[frozenset[str], ...]:
+    """Vertex sets of the connected components of the bold subgraph B
+    (fixed vertices and fixed edges), sorted by smallest vertex id."""
     report = require_valid(g)
-    bverts = report.bold_vertices
-    bedges = report.bold_edges
-    comps = tuple(
-        BoldComponent(comp, frozenset(eid for eid in bedges if g.edge(eid).tail in comp))
-        for comp in components(bverts, [g.edge(eid) for eid in bedges])
-    )
-    return BoldSubgraph(bverts, bedges, comps)
+    return components(report.bold_vertices, [g.edge(eid) for eid in report.bold_edges])
 
 
 def arithmetic_genus(g: EquivariantGraph) -> int:

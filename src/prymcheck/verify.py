@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from . import linalg
+from . import dicing, linalg
 from .dicing import (
     deletion_criterion,
     dicing_bruteforce,
@@ -54,15 +54,11 @@ __all__ = [
     "check_graph",
     "run_suite",
     "MAX_DEDUP_VERTICES",
-    "ORACLE_MAX_D",
 ]
 
 # Canonical labeling walks f! * m! * 2^m labelings for f fixed vertices and
 # m exchanged pairs: n! when every vertex is fixed.
 MAX_DEDUP_VERTICES = 8
-
-# The definitional dicing oracle is only consulted up to this rank.
-ORACLE_MAX_D = 4
 
 
 @dataclass(frozen=True)
@@ -323,17 +319,15 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     """Run the whole pipeline on one valid graph and record every check.
 
     A failing check is recorded, never raised.  The oracle is consulted
-    only up to ORACLE_MAX_D.
+    only up to dicing.DEFAULT_BRUTEFORCE_MAX_D.
     """
     a = analyse(g)
     og, report, lattice, classes = a.graph, a.report, a.lattice, a.classes
     d = lattice.rank
     has_type2 = any(c.type == 2 for c in classes)
 
-    m_star = star_matrix(lattice, classes)
-    m_starstar = star_star_matrix(lattice, classes)
-    star_verdict = is_dicing(m_star)
-    starstar_verdict = is_dicing(m_starstar)
+    star_verdict = is_dicing(star_matrix(lattice, classes))
+    starstar_verdict = is_dicing(star_star_matrix(lattice, classes))
     star = star_verdict.is_dicing
     starstar = starstar_verdict.is_dicing
 
@@ -359,21 +353,18 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
             for c in classes
         ),
     }
-    if d <= ORACLE_MAX_D:
+    if d <= dicing.DEFAULT_BRUTEFORCE_MAX_D:
         checks["oracle_dicing"] = (
-            dicing_bruteforce(m_star) == star
-            and dicing_bruteforce(m_starstar) == starstar
+            dicing_bruteforce(star_verdict.matrix) == star
+            and dicing_bruteforce(starstar_verdict.matrix) == starstar
         )
 
-    rows_by_rep = dict(m_star.rows)
-    nontrivial = [c.orbit_rep for c in classes if c.type != 1]
-    deletion_ok = True
-    for subset in itertools.combinations(nontrivial, d):
-        independent = linalg.det([list(rows_by_rep[rep]) for rep in subset]) != 0
-        if deletion_criterion(a, subset) != independent:
-            deletion_ok = False
-            break
-    checks["deletion"] = deletion_ok
+    # The STAR rows are the type != 1 orbits, one per representative.
+    checks["deletion"] = all(
+        deletion_criterion(a, [rep for rep, _ in subset])
+        == (linalg.det([list(vec) for _, vec in subset]) != 0)
+        for subset in itertools.combinations(star_verdict.matrix.rows, d)
+    )
 
     sound = True
     if not star:

@@ -56,7 +56,7 @@ class TestCheck:
             assert payload["conditions"]["star"]["holds"] == star.is_dicing
             assert payload["conditions"]["starstar"]["holds"] == starstar.is_dicing
             assert payload["indeterminacy"] == (not star.is_dicing)
-            assert payload["d"] == star.matrix.d
+            assert payload["d"] == star.matrix.lattice.rank
             assert (payload["fs"]["min4"] is not None) == (
                 is_fs_degeneration(fs_bipartitions(g), 4) is not None
             )

@@ -60,8 +60,8 @@ class TestMatrices:
         star, starstar = matrices(fs2)
         assert star.rows == (("e1", (1,)),)
         assert starstar.rows == (("e1", (2,)),)
-        assert star.d == 1
-        assert star.basis == ((2, -2),)
+        assert star.lattice.rank == 1
+        assert star.lattice.rows == ((2, -2),)
 
     def test_fs4(self, fs4):
         star, starstar = matrices(fs4)
@@ -76,7 +76,7 @@ class TestMatrices:
     def test_square_empty(self, square):
         star, starstar = matrices(square)
         assert star.rows == ()
-        assert star.d == 0
+        assert star.lattice.rank == 0
 
     def test_fs4tail_matches_fs4(self, fs4, fs4tail):
         assert matrices(fs4tail)[0].rows == matrices(fs4)[0].rows
@@ -88,7 +88,7 @@ class TestMatrices:
     def test_parallel_and_path_equal_rows(self):
         star, _ = matrices(parallel_and_path())
         rows = dict(star.rows)
-        assert star.d == 3
+        assert star.lattice.rank == 3
         assert rows["p1"] == rows["q1"] == (1, 1, 2)
         assert rows["a1"] == (1, 0, 0)
         assert rows["b1"] == (0, 1, 0)
@@ -133,7 +133,7 @@ class TestIsDicing:
         for verdict in (is_dicing(star), is_dicing(starstar)):
             assert verdict.is_dicing
             assert verdict.witness is None
-            assert verdict.matrix.d == 0
+            assert verdict.matrix.lattice.rank == 0
 
     def test_witnesses_sound(self):
         graphs = [load_fixture(name) for name in ALL_FIXTURES]
@@ -152,7 +152,7 @@ class TestIsDicing:
         verdict = is_dicing(star)
         import dataclasses
 
-        lattice_point = tuple(Fraction(x) for x in star.basis[0])
+        lattice_point = tuple(Fraction(x) for x in star.lattice.rows[0])
         fake = dataclasses.replace(
             verdict, witness=dataclasses.replace(verdict.witness, point=lattice_point)
         )
@@ -223,10 +223,10 @@ class TestDeletionCriterion:
         graphs += [fs_chain(3), parallel_and_path()]
         for g in graphs:
             star, _ = matrices(g)
-            if star.d == 0:
+            if star.lattice.rank == 0:
                 continue
             rows = dict(star.rows)
-            for subset in itertools.combinations(sorted(rows), star.d):
+            for subset in itertools.combinations(sorted(rows), star.lattice.rank):
                 independent = det([list(rows[rep]) for rep in subset]) != 0
                 assert deletion_criterion(analyse(g), set(subset)) == independent, (subset,)
 

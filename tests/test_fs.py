@@ -15,6 +15,7 @@ from prymcheck.fs import (
     fs_report,
     is_fs_degeneration,
 )
+from prymcheck.verify import GenSpec, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 
@@ -212,6 +213,18 @@ class TestCompletion:
         assert witness.part2 == {"v2", "y", "z"}
         assert witness.crossing_count == 6
         assert witness.crossing_orbits == (("a1", "a2"), ("b1", "b2"), ("p1", "p2"))
+
+    def test_completing_a_listed_witness_returns_it(self):
+        checked = 0
+        for spec in (GenSpec(), GenSpec(max_edge_orbits=5), GenSpec(max_vertex_pairs=2)):
+            for g in enumerate_graphs(spec):
+                for w in fs_bipartitions(g):
+                    induced1 = {e.id for e in g.edges if {e.tail, e.head} <= w.part1}
+                    induced2 = {e.id for e in g.edges if {e.tail, e.head} <= w.part2}
+                    pair = pair_of(w.part1, w.part2, induced1, induced2)
+                    assert complete_subgraph_pair(g, pair, 2) == w
+                    checked += 1
+        assert checked == 1001
 
     def test_bold_path_rejected(self, boldbanana):
         with pytest.raises(ValueError, match="bold path"):

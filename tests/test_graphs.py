@@ -15,7 +15,7 @@ from prymcheck.graphs import (
     Vertex,
     arithmetic_genus,
     auto_orient,
-    bold_subgraph,
+    bold_components,
     canonical_json,
     components,
     parse_graph,
@@ -233,23 +233,15 @@ class TestAutoOrient:
         assert relabel(auto_orient(variant), "x") == auto_orient(relabel(variant, "x"))
 
 
-class TestBoldSubgraph:
+class TestBoldComponents:
     def test_fs4tail_components(self, fs4tail):
-        bold = bold_subgraph(fs4tail)
-        assert bold.vertices == {"v1", "v2", "v3"}
-        assert bold.edges == {"c"}
-        assert [c.vertices for c in bold.components] == [{"v1"}, {"v2", "v3"}]
-        assert [c.edges for c in bold.components] == [frozenset(), {"c"}]
+        assert bold_components(fs4tail) == ({"v1"}, {"v2", "v3"})
 
     def test_square_empty(self, square):
-        bold = bold_subgraph(square)
-        assert bold.vertices == frozenset()
-        assert bold.components == ()
+        assert bold_components(square) == ()
 
     def test_boldbanana_single_component(self, boldbanana):
-        bold = bold_subgraph(boldbanana)
-        assert [c.vertices for c in bold.components] == [{"v1", "v2"}]
-        assert [c.edges for c in bold.components] == [{"b"}]
+        assert bold_components(boldbanana) == ({"v1", "v2"},)
 
 
 class TestArithmeticGenus:

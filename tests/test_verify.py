@@ -14,6 +14,7 @@ from helpers import (
     reference_isomorphism_key,
     relabel,
 )
+from prymcheck.dicing import DEFAULT_BRUTEFORCE_MAX_D
 from prymcheck.errors import CapExceededError
 from prymcheck.graphs import canonical_json, validate
 from prymcheck.verify import (
@@ -308,11 +309,15 @@ class TestCheckGraph:
             "witness_soundness",
         }
 
-    def test_oracle_skipped_above_rank_four(self):
-        record = check_graph(fs_chain(5))
-        assert record.d == 5
-        assert "oracle_dicing" not in record.checks
-        assert record.ok
+    def test_oracle_consulted_up_to_the_bruteforce_cap(self):
+        for n in (5, 6, 7):
+            record = check_graph(fs_chain(n))
+            assert record.d == n
+            assert record.ok
+            if n <= DEFAULT_BRUTEFORCE_MAX_D:
+                assert record.checks["oracle_dicing"]
+            else:
+                assert "oracle_dicing" not in record.checks
 
     def test_mutant_breaks_theorem2(self, boldbanana, doubled_starstar):
         record = check_graph(boldbanana)

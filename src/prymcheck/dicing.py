@@ -14,10 +14,18 @@ stored (doubled) basis rows h_k and column gcd G_j at edge j, the STAR entry
 is h_k[j] / G_j = m_j z_j(b_k) and the STARSTAR entry is h_k[j] = z_j(2 b_k);
 both are integers.
 
+The minors are not computed one by one.  `is_dicing` walks the row
+subsets depth-first in lexicographic order and pushes each new row through
+the fraction-free (Bareiss) elimination of its prefix.  A row that falls
+into the span of its prefix is pruned together with every subset that
+contains it, so singular subsets are mostly never reached, and each leaf's
+minor is read off as its last pivot.
+
 A failing verdict carries a concrete witness: the first offending row
-subset in lexicographic order, its determinant, the first unit right-hand
-side whose rational solution point is not a lattice point, that point in
-doubled edge coordinates, and the non-integral basis coefficient.
+subset in lexicographic order, its determinant (confirmed once by
+`linalg.det`), the first unit right-hand side whose rational solution
+point is not a lattice point, that point in doubled edge coordinates, and
+the non-integral basis coefficient.
 """
 
 from __future__ import annotations
@@ -130,37 +138,86 @@ def _build_witness(m: FunctionalMatrix, subset, submatrix, determinant) -> Dicin
     ids = tuple(m.rows[i][0] for i in subset)
     basis = m.lattice.rows
     d = m.lattice.rank
+    # By Cramer's rule |det| is a common denominator of every solution, so
+    # each coordinate is one integer sum over it.
+    denom = abs(determinant)
     for r in range(d):
         rhs = [1 if k == r else 0 for k in range(d)]
         coeffs = linalg.solve(submatrix, rhs)
         bad = next((k for k, c in enumerate(coeffs) if c.denominator != 1), None)
         if bad is None:
             continue
-        point = []
-        for col in range(len(m.lattice.edge_ids)):
-            point.append(
-                sum(
-                    (c * (m.scale * basis[k][col]) for k, c in enumerate(coeffs)),
-                    Fraction(0),
-                )
-            )
+        nums = [c.numerator * (denom // c.denominator) for c in coeffs]
+        point = tuple(
+            Fraction(m.scale * sum(n * row[col] for n, row in zip(nums, basis)), denom)
+            for col in range(len(m.lattice.edge_ids))
+        )
         defect = (
             f"coefficient of basis element {bad + 1} of the {m.lattice_tag} "
             f"lattice is {coeffs[bad]}, not an integer"
         )
-        return DicingWitness(ids, determinant, r, tuple(point), defect)
+        return DicingWitness(ids, determinant, r, point, defect)
     raise RuntimeError(
         "no unit right-hand side produced a non-integral solution although "
         f"|det| = {abs(determinant)} >= 2; this cannot happen"
     )
 
 
-def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
-    """Check every maximal (d x d) minor; 0 and +-1 are allowed.
+def _first_offending_minor(vectors, d):
+    """The first d-subset of row indices, in lexicographic order, whose
+    minor lies outside {0, +-1}, with that minor; None if there is none.
 
-    Subsets are scanned in lexicographic order over the sorted rows and the
-    first offending minor becomes the witness, so the verdict is
-    deterministic.  d = 0 is vacuously a dicing.
+    A depth-first walk over increasing index tuples.  Each level holds the
+    rows that may follow its prefix, reduced by the fraction-free (Bareiss)
+    elimination of the prefix with column pivoting: taking row x with
+    pivot p = x[c] turns every later row y into (p*y - y[c]*x) // p_prev,
+    without column c.  A row that reduces to zero lies in the span of the
+    prefix, so it is dropped together with every subset that contains
+    it.  After d - 1 pivots each remaining row is one entry, the minor of
+    the prefix and that row up to the sign of the pivot-column order.
+    """
+    prefix = []
+    # Per level: remaining rows, position of the next one to take, the
+    # prefix's last pivot and the sign of its pivot-column order.
+    levels = [[[(i, v) for i, v in enumerate(vectors) if any(v)], 0, 1, 1]]
+    while levels:
+        level = levels[-1]
+        rows, pos, prev, sign = level
+        need = d - len(prefix)
+        if need == 1:
+            for i, y in rows:
+                if abs(y[0]) >= 2:
+                    return (*prefix, i), sign * y[0]
+        elif len(rows) - pos >= need:
+            level[1] = pos + 1
+            i, x = rows[pos]
+            c = next(j for j, v in enumerate(x) if v)
+            p = x[c]
+            reduced = []
+            for j, y in rows[pos + 1:]:
+                yc = y[c]
+                z = [(p * a - yc * b) // prev for a, b in zip(y, x)]
+                del z[c]
+                if any(z):
+                    reduced.append((j, z))
+            prefix.append(i)
+            levels.append([reduced, 0, p, -sign if c % 2 else sign])
+            continue
+        levels.pop()
+        if prefix:
+            prefix.pop()
+    return None
+
+
+def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
+    """Whether every maximal (d x d) minor is 0 or +-1.
+
+    The row subsets are walked in lexicographic order over the sorted rows
+    by one fraction-free elimination shared along each prefix; a prefix
+    whose rows are dependent ends its branch, so singular subsets are
+    mostly never reached.  The first offending minor becomes the witness,
+    so the verdict is deterministic, and `linalg.det` confirms it once.
+    d = 0 is vacuously a dicing.
     """
     d = m.lattice.rank
     if d == 0:
@@ -169,12 +226,18 @@ def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
         raise RuntimeError(
             "fewer functional rows than d; the matrix invariant is broken"
         )
-    for subset in itertools.combinations(range(len(m.rows)), d):
-        submatrix = [list(m.rows[i][1]) for i in subset]
-        determinant = linalg.det(submatrix)
-        if abs(determinant) >= 2:
-            return DicingVerdict(m, _build_witness(m, subset, submatrix, determinant))
-    return DicingVerdict(m, None)
+    found = _first_offending_minor([vec for _, vec in m.rows], d)
+    if found is None:
+        return DicingVerdict(m, None)
+    subset, determinant = found
+    submatrix = [list(m.rows[i][1]) for i in subset]
+    confirmed = linalg.det(submatrix)
+    if confirmed != determinant:
+        raise RuntimeError(
+            f"rows {subset}: the elimination scan gives minor {determinant} "
+            f"but linalg.det gives {confirmed}; this is a bug"
+        )
+    return DicingVerdict(m, _build_witness(m, subset, submatrix, determinant))
 
 
 def condition_star(g: EquivariantGraph) -> DicingVerdict:

@@ -3,8 +3,8 @@
 Enumerates every connected equivariant multigraph within user-chosen
 bounds (optionally one representative per equivariant-isomorphism class)
 and runs the whole pipeline on each: rank formula, edge classification by
-both routes, conditions (*) and (**) by minors and by the definitional
-brute force, the deletion criterion against row independence, witness
+both routes, conditions (*) and (**) by the pruned minor scan and by the
+definitional brute force, the deletion criterion against row independence, witness
 soundness, and the equivalences
 
     (*)  <=>  no Friedman-Smith degeneration with >= 4 crossing edges

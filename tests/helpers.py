@@ -6,6 +6,7 @@ import itertools
 import random
 from pathlib import Path
 
+from prymcheck import linalg
 from prymcheck.graphs import EquivariantGraph, Involution, OrientedEdge, Vertex, parse_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,3 +139,15 @@ def reference_isomorphism_key(g: EquivariantGraph):
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def reference_first_offending_minor(rows, d):
+    """Test oracle for the minor scan of `dicing.is_dicing`: the first
+    d-subset of row indices in lexicographic order whose determinant lies
+    outside {0, +-1}, and that determinant, by one `linalg.det` per
+    subset; None if every maximal minor is 0 or +-1."""
+    for subset in itertools.combinations(range(len(rows)), d):
+        determinant = linalg.det([list(rows[i]) for i in subset])
+        if abs(determinant) >= 2:
+            return subset, determinant
+    return None

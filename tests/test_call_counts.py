@@ -6,7 +6,8 @@ computes an HNF only for the lattice and the two functional matrices.
 a validation report is computed once per graph object.  Enumerated
 graphs are built oriented, so `check_graph` builds no graph for them and
 computes no report beyond the enumerator's; a graph given unoriented is
-validated once and its oriented copy once more."""
+validated once and its oriented copy once more.  `is_dicing` calls
+`linalg.det` only to confirm the offending minor it found."""
 
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import FIXTURES, load_fixture
+from helpers import FIXTURES, build_on_layout, load_fixture
 from prymcheck import fs, graphs, homology, linalg
 from prymcheck.cli import main
+from prymcheck.dicing import is_dicing, star_matrix
+from prymcheck.homology import analyse
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
@@ -119,3 +122,22 @@ def test_check_graph_builds_no_graph_for_an_enumerated_graph(monkeypatch):
     for g in graphs_seen:
         check_graph(g)
     assert built["graphs"] == 0
+
+
+def test_is_dicing_computes_a_determinant_only_for_a_witness(monkeypatch, fs4):
+    # A passing star with k = 6: a fixed centre f0 joined to both vertices
+    # of six exchanged pairs, whose two vertices are also joined.  d = 6
+    # and 12 rows, so a scan by separate determinants would compute
+    # C(12, 6) = 924 of them.
+    k = 6
+    orbits = [o for i in range(k) for o in (("f0", f"p{i}a"), (f"p{i}a", f"p{i}b"))]
+    a = analyse(build_on_layout(1, k, [], orbits))
+    passing = star_matrix(a.lattice, a.classes)
+    assert (passing.lattice.rank, len(passing.rows)) == (k, 2 * k)
+    a = analyse(fs4)
+    failing = star_matrix(a.lattice, a.classes)
+    det_calls = _count(monkeypatch, ((linalg, "det"),))
+    assert is_dicing(passing).is_dicing
+    assert det_calls["det"] == 0
+    assert not is_dicing(failing).is_dicing
+    assert det_calls["det"] == 1

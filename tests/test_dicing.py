@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fs_chain, load_fixture, make_graph
+from helpers import fs_chain, load_fixture, make_graph, reference_first_offending_minor
 from prymcheck import dicing
 from prymcheck.dicing import (
     STAR,
@@ -23,6 +23,7 @@ from prymcheck.dicing import (
 from prymcheck.errors import CapExceededError
 from prymcheck.graphs import auto_orient
 from prymcheck.homology import analyse, anti_invariant_lattice, classify_edges
+from prymcheck.verify import GenSpec, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 
@@ -146,6 +147,29 @@ class TestIsDicing:
                     assert witness_is_sound(verdict)
                     checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize(
+        "spec", [GenSpec(max_edge_orbits=5), GenSpec(max_vertex_pairs=2)], ids=["orbits5", "pairs2"]
+    )
+    def test_witness_matches_reference_scan(self, spec):
+        # The first offending minor in lexicographic order, found by one
+        # determinant per row subset, on every (*) and (**) matrix.
+        failing = 0
+        for g in enumerate_graphs(spec):
+            a = analyse(g)
+            for m in (star_matrix(a.lattice, a.classes), star_star_matrix(a.lattice, a.classes)):
+                if m.lattice.rank == 0:
+                    continue
+                expected = reference_first_offending_minor([vec for _, vec in m.rows], m.lattice.rank)
+                w = is_dicing(m).witness
+                if expected is None:
+                    assert w is None
+                    continue
+                subset, determinant = expected
+                assert w.row_subset == tuple(m.rows[i][0] for i in subset)
+                assert w.determinant == determinant
+                failing += 1
+        assert failing > 100
 
     def test_soundness_rejects_tampered_witness(self, fs4):
         star, _ = matrices(fs4)

@@ -2,8 +2,10 @@
 check of `verify.check_graph` passes (both theorems' equivalences, the
 dicing oracle, witness soundness and the rest), every verdict is
 invariant under relabelling, and `prymcheck check` on the graph's
-document reports the verdicts `check_graph` records.  Examples are
-derandomized, so a run is reproducible."""
+document reports the verdicts `check_graph` records.  On random integer
+matrices with duplicate and dependent rows, which the grids never
+produce, `is_dicing` finds the minor the reference scan finds.  Examples
+are derandomized, so a run is reproducible."""
 
 from __future__ import annotations
 
@@ -15,11 +17,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from helpers import build_on_layout, layout, relabel  # noqa: E402
+from helpers import build_on_layout, layout, reference_first_offending_minor, relabel  # noqa: E402
+from prymcheck import linalg  # noqa: E402
 from prymcheck.cli import main  # noqa: E402
+from prymcheck.dicing import STAR, FunctionalMatrix, is_dicing  # noqa: E402
 from prymcheck.graphs import to_document  # noqa: E402
+from prymcheck.homology import AntiInvariantLattice  # noqa: E402
 from prymcheck.verify import check_graph  # noqa: E402
 
 MAX_EDGE_ORBITS = 6
@@ -88,3 +93,35 @@ def test_cli_check_agrees_with_check_graph(g):
     assert [fs["min2"] is not None, fs["min4"] is not None] == [record.fs2, record.fs4]
     assert payload["indeterminacy"] == (not record.star)
     assert any(c["type"] == 2 for c in payload["edge_classes"]) == record.has_type2
+
+
+@st.composite
+def functional_rows(draw):
+    """Rank d <= 5 and at most 9 rows with entries -2..2, some of them
+    copies of, or sums and differences of, other rows."""
+    d = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(entries, min_size=d, max_size=9))
+    for _ in range(draw(st.integers(0, 9 - len(rows)))):
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.sampled_from([(1, 0), (-1, 0), (1, 1), (1, -1), (2, 0)]))
+        rows.insert(draw(st.integers(0, len(rows))), [a * u + b * v for u, v in zip(x, y)])
+    assume(linalg.rank(rows) == d)
+    return d, rows
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(functional_rows())
+def test_is_dicing_finds_the_reference_minor(drawn):
+    d, rows = drawn
+    edge_ids = tuple(f"x{k}" for k in range(d))
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    lattice = AntiInvariantLattice(edge_ids, identity, d, dict.fromkeys(edge_ids, 1))
+    m = FunctionalMatrix(STAR, lattice, tuple((f"r{i}", tuple(row)) for i, row in enumerate(rows)))
+    w = is_dicing(m).witness
+    expected = reference_first_offending_minor(rows, d)
+    if expected is None:
+        assert w is None
+    else:
+        subset, determinant = expected
+        assert (w.row_subset, w.determinant) == (tuple(f"r{i}" for i in subset), determinant)

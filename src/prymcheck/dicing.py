@@ -25,7 +25,10 @@ A failing verdict carries a concrete witness: the first offending row
 subset in lexicographic order, its determinant (confirmed once by
 `linalg.det`), the first unit right-hand side whose rational solution
 point is not a lattice point, that point in doubled edge coordinates, and
-the non-integral basis coefficient.
+the non-integral basis coefficient.  One fraction-free elimination
+(`linalg.solve`) solves all d unit systems at once, as integer numerators
+over the determinant; Fractions appear only in the witness point, the
+defect text and `witness_is_sound`, which checks the point independently.
 """
 
 from __future__ import annotations
@@ -138,23 +141,21 @@ def _build_witness(m: FunctionalMatrix, subset, submatrix, determinant) -> Dicin
     ids = tuple(m.rows[i][0] for i in subset)
     basis = m.lattice.rows
     d = m.lattice.rank
-    # By Cramer's rule |det| is a common denominator of every solution, so
-    # each coordinate is one integer sum over it.
-    denom = abs(determinant)
-    for r in range(d):
-        rhs = [1 if k == r else 0 for k in range(d)]
-        coeffs = linalg.solve(submatrix, rhs)
-        bad = next((k for k, c in enumerate(coeffs) if c.denominator != 1), None)
+    # One fraction-free elimination solves all d unit systems: column r of
+    # nums is determinant times the basis coefficients of the solution
+    # for the unit right-hand side at r.
+    _, nums = linalg.solve(submatrix, [[int(i == j) for j in range(d)] for i in range(d)])
+    for r, col in enumerate(zip(*nums)):
+        bad = next((k for k, n in enumerate(col) if n % determinant), None)
         if bad is None:
             continue
-        nums = [c.numerator * (denom // c.denominator) for c in coeffs]
         point = tuple(
-            Fraction(m.scale * sum(n * row[col] for n, row in zip(nums, basis)), denom)
-            for col in range(len(m.lattice.edge_ids))
+            Fraction(m.scale * sum(n * row[c] for n, row in zip(col, basis)), determinant)
+            for c in range(len(m.lattice.edge_ids))
         )
         defect = (
             f"coefficient of basis element {bad + 1} of the {m.lattice_tag} "
-            f"lattice is {coeffs[bad]}, not an integer"
+            f"lattice is {Fraction(col[bad], determinant)}, not an integer"
         )
         return DicingWitness(ids, determinant, r, point, defect)
     raise RuntimeError(
@@ -281,10 +282,12 @@ def witness_is_sound(verdict: DicingVerdict) -> bool:
 def dicing_bruteforce(m: FunctionalMatrix) -> bool:
     """Definitional check: for every nonsingular d-subset and every unit
     right-hand side, the rational solution must be a lattice point
-    (integral coordinates in the lattice basis).  The solutions for all d
-    unit right-hand sides are the columns of the submatrix's inverse, found
-    by one elimination per subset.  No minors involved.  Raises
-    CapExceededError when d exceeds DEFAULT_BRUTEFORCE_MAX_D."""
+    (integral coordinates in the lattice basis).  One fraction-free
+    elimination per subset solves all d unit systems as integer numerators
+    over the subset's determinant, so a solution is a lattice point
+    exactly when the determinant divides its numerators.  No minor is
+    tested against {0, +-1}.  Raises CapExceededError when d exceeds
+    DEFAULT_BRUTEFORCE_MAX_D."""
     d = m.lattice.rank
     if d > DEFAULT_BRUTEFORCE_MAX_D:
         raise CapExceededError(
@@ -292,11 +295,10 @@ def dicing_bruteforce(m: FunctionalMatrix) -> bool:
         )
     if d == 0:
         return True
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
     for subset in itertools.combinations(range(len(m.rows)), d):
-        inv = linalg.inverse([list(m.rows[i][1]) for i in subset])
-        if inv is None:
-            continue
-        if any(c.denominator != 1 for row in inv for c in row):
+        det, nums = linalg.solve([list(m.rows[i][1]) for i in subset], identity)
+        if det and any(n % det for row in nums for n in row):
             return False
     return True
 

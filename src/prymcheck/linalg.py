@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra on plain lists.
 
-Row vectors are lists of ints (or Fractions where stated); no floats
-anywhere.  Everything here is small and dense: the graphs this package
-handles have a handful of edges, so no attempt is made at sparsity or
-asymptotic cleverness.
+Row vectors are lists of ints; no floats anywhere.  `solve` eliminates
+fraction-free, so rational solutions come back as integer numerators
+over the determinant; only `span_coords` returns Fractions.  Everything
+here is small and dense: the graphs this package handles have a handful
+of edges, so no attempt is made at sparsity or asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -55,64 +56,34 @@ def rank(rows):
 
 
 def det(m):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix."""
+    return solve(m, [[]] * len(m))[0]
+
+
+def solve(m, right):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of [m | right]
+    for a square integer m: (det(m), N) with integer rows N such that
+    m N = det(m) right, so X = N / det(m) solves m X = right; (0, None) if
+    m is singular.  Each division is exact, as every entry is a minor."""
     n = len(m)
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
+    a = [list(row) + list(extra) for row, extra in zip(m, right)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _gauss_jordan(m, right):
-    """Reduce [m | right] over Q until m becomes the identity; returns what
-    right has become (m^-1 right), or None if the square m is singular."""
-    n = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(y) for y in extra]
-        for row, extra in zip(m, right)
-    ]
-    for c in range(n):
-        piv = next((k for k in range(c, n) if a[k][c]), None)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        lead = a[c][c]
-        a[c] = [x / lead for x in a[c]]
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
         for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
-def solve(m, rhs):
-    """Solve the square system m x = rhs over Q; None if m is singular."""
-    x = _gauss_jordan(m, [[v] for v in rhs])
-    return None if x is None else [row[0] for row in x]
-
-
-def inverse(m):
-    """Inverse of the square matrix m over Q, as rows of Fractions; None if
-    m is singular.  One elimination serves all n unit right-hand sides:
-    column r is solve(m, e_r)."""
-    n = len(m)
-    return _gauss_jordan(m, [[int(i == j) for j in range(n)] for i in range(n)])
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def span_coords(echelon_rows, vec):

@@ -4,7 +4,11 @@ import dataclasses
 
 import pytest
 
-from helpers import load_fixture
+# The shared checkers in helpers assert; rewrite them as pytest rewrites
+# test modules, so that they still check under python -O.
+pytest.register_assert_rewrite("helpers")
+
+from helpers import load_fixture  # noqa: E402
 from prymcheck import verify
 
 

@@ -151,3 +151,32 @@ def reference_first_offending_minor(rows, d):
         if abs(determinant) >= 2:
             return subset, determinant
     return None
+
+
+def leibniz_det(m):
+    # independent oracle: sum over permutations with explicit sign
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        prod = 1
+        for i in range(n):
+            prod *= m[i][perm[i]]
+        total += (-1) ** inversions * prod
+    return total
+
+
+def assert_solves(a, right):
+    """Checks linalg.solve(a, right) against leibniz_det: it returns
+    (0, None) exactly when a is singular, and otherwise (det(a), N) with
+    a N == det(a) right.  Returns N."""
+    det, nums = linalg.solve(a, right)
+    assert det == leibniz_det(a)
+    if det == 0:
+        assert nums is None
+        return None
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*nums)] for row in a]
+    assert product == [[det * x for x in row] for row in right]
+    return nums

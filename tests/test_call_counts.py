@@ -7,7 +7,8 @@ a validation report is computed once per graph object.  Enumerated
 graphs are built oriented, so `check_graph` builds no graph for them and
 computes no report beyond the enumerator's; a graph given unoriented is
 validated once and its oriented copy once more.  `is_dicing` calls
-`linalg.det` only to confirm the offending minor it found."""
+`linalg.det` only to confirm the offending minor it found, and its
+witness solves all d unit systems by one elimination."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 from helpers import FIXTURES, build_on_layout, load_fixture
 from prymcheck import fs, graphs, homology, linalg
 from prymcheck.cli import main
-from prymcheck.dicing import is_dicing, star_matrix
+from prymcheck.dicing import condition_star, condition_star_star, is_dicing, star_matrix
 from prymcheck.homology import analyse
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
 
@@ -141,3 +142,22 @@ def test_is_dicing_computes_a_determinant_only_for_a_witness(monkeypatch, fs4):
     assert det_calls["det"] == 0
     assert not is_dicing(failing).is_dicing
     assert det_calls["det"] == 1
+
+
+@pytest.mark.parametrize(
+    "condition, orbits, rhs",
+    [
+        (condition_star, [("f0", "f0"), ("f0", "f0"), ("f0", "f1"), ("f0", "f1")], 2),
+        (condition_star_star, [("f0", "f0"), ("f0", "f0"), ("f0", "f0"), ("f0", "f1")], 3),
+    ],
+    ids=["star", "starstar"],
+)
+def test_witness_solves_all_unit_systems_in_one_elimination(monkeypatch, condition, orbits, rhs):
+    # Two fixed vertices with exchanged loops and edges, as in the
+    # max_edge_orbits=5 grid.  The witness sits on unit column rhs >= 2,
+    # so solving one unit system at a time would take rhs + 1 eliminations.
+    # linalg.det reads its determinant off one linalg.solve call.
+    g = build_on_layout(2, 0, [], orbits)
+    counts = _count(monkeypatch, ((linalg, "det"), (linalg, "solve")))
+    assert condition(g).witness.rhs == rhs
+    assert counts == {"det": 1, "solve": 2}

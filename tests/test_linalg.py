@@ -1,33 +1,17 @@
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
+from helpers import assert_solves, leibniz_det
 from prymcheck.linalg import (
     det,
     hnf_rows,
     in_lattice,
-    inverse,
     rank,
     solve,
     span_coords,
 )
-
-
-def leibniz_det(m):
-    # independent oracle: sum over permutations with explicit sign
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        prod = 1
-        for i in range(n):
-            prod *= m[i][perm[i]]
-        total += (-1) ** inversions * prod
-    return total
 
 
 def random_matrix(rng, nrows, ncols, lo=-6, hi=6):
@@ -101,31 +85,26 @@ def test_det_singular():
 
 def test_solve_roundtrip_and_singularity():
     rng = random.Random(55)
+    assert solve([], []) == (1, [])
     for _ in range(200):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, -5, 5)
-        rhs = [rng.randint(-5, 5) for _ in range(n)]
-        x = solve(a, rhs)
-        if x is None:
-            assert leibniz_det(a) == 0
-        else:
-            for i in range(n):
-                assert sum(Fraction(a[i][j]) * x[j] for j in range(n)) == rhs[i]
+        assert_solves(a, random_matrix(rng, n, rng.randint(0, 3), -5, 5))
 
 
 def test_inverse_columns_are_unit_solutions():
+    # One elimination of all n unit right-hand sides gives, column by
+    # column, what n eliminations of one unit right-hand side each give.
     rng = random.Random(56)
     for _ in range(200):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, -3, 3)
-        inv = inverse(a)
-        if inv is None:
-            assert leibniz_det(a) == 0
+        nums = assert_solves(a, [[int(i == j) for j in range(n)] for i in range(n)])
+        if nums is None:
             continue
         for r in range(n):
-            unit = [int(k == r) for k in range(n)]
-            assert [row[r] for row in inv] == solve(a, unit)
-            assert [sum(a[i][j] * inv[j][r] for j in range(n)) for i in range(n)] == unit
+            unit = [[int(k == r)] for k in range(n)]
+            assert [[row[r]] for row in nums] == solve(a, unit)[1]
 
 
 def test_span_coords_and_membership():

@@ -4,8 +4,10 @@ dicing oracle, witness soundness and the rest), every verdict is
 invariant under relabelling, and `prymcheck check` on the graph's
 document reports the verdicts `check_graph` records.  On random integer
 matrices with duplicate and dependent rows, which the grids never
-produce, `is_dicing` finds the minor the reference scan finds.  Examples
-are derandomized, so a run is reproducible."""
+produce, `is_dicing` finds the minor the reference scan finds, and
+`linalg.solve` agrees with the Leibniz determinant on singular and
+nonsingular square systems.  Examples are derandomized, so a run is
+reproducible."""
 
 from __future__ import annotations
 
@@ -19,7 +21,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from helpers import build_on_layout, layout, reference_first_offending_minor, relabel  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_solves,
+    build_on_layout,
+    layout,
+    leibniz_det,
+    reference_first_offending_minor,
+    relabel,
+)
 from prymcheck import linalg  # noqa: E402
 from prymcheck.cli import main  # noqa: E402
 from prymcheck.dicing import STAR, FunctionalMatrix, is_dicing  # noqa: E402
@@ -125,3 +134,32 @@ def test_is_dicing_finds_the_reference_minor(drawn):
     else:
         subset, determinant = expected
         assert (w.row_subset, w.determinant) == (tuple(f"r{i}" for i in subset), determinant)
+
+
+@st.composite
+def square_systems(draw):
+    """An n x n matrix (n <= 6, entries -50..50) and n right-hand-side
+    rows.  Up to n entries are set to 0, so that pivots are often 0 and
+    rows get swapped, and up to two rows are copies of, negations of, or
+    sums and differences of others, so that many matrices are singular."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-50, 50)
+    free = n - draw(st.integers(0, min(2, n - 1)))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=free, max_size=free))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, free - 1), st.integers(0, n - 1)), max_size=n)):
+        rows[i][j] = 0
+    while len(rows) < n:
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.sampled_from([(1, 0), (-1, 0), (1, 1), (1, -1)]))
+        rows.insert(draw(st.integers(0, len(rows))), [a * u + b * v for u, v in zip(x, y)])
+    k = draw(st.integers(0, 3))
+    right = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    return rows, right
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(square_systems())
+def test_solve_matches_leibniz(system):
+    m, right = system
+    assert_solves(m, right)
+    assert linalg.det(m) == leibniz_det(m)

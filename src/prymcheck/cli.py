@@ -12,6 +12,10 @@ Subcommands:
   components  genus splittings of the two components for given total
               genus and half the node count
 
+Each subcommand builds its structured payload and its human lines once
+and hands both to one writer, _answer, which renders the --format asked
+for.
+
 Exit codes: 0 analysis/verification succeeded; 2 unreadable or invalid
 input (including bad arguments); 3 an enumeration cap was exceeded;
 4 verification found a counterexample.
@@ -47,17 +51,19 @@ SCHEMA_VERSION = 1
 __all__ = ["main", "SCHEMA_VERSION"]
 
 
-def _emit(text: str, output: str | None) -> None:
+def _answer(fmt: str, output: str | None, payload: dict, lines: list[str]) -> int:
+    """Write payload as schema-versioned JSON (fmt "structured") or the
+    human lines, to output or to stdout when that is None; return 0."""
+    if fmt == "structured":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2)
+    else:
+        text = "\n".join(lines)
     if output is None:
         print(text)
     else:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-
-
-def _emit_structured(payload: dict, output: str | None) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), output)
+    return 0
 
 
 def _verdict_obj(verdict: DicingVerdict) -> dict:
@@ -116,89 +122,65 @@ def cmd_check(args) -> int:
     indeterminacy = not star_verdict.is_dicing
     # The headline comes from (*), so a capped FS search is skipped, not fatal.
     try:
-        witnesses, skipped = fs_bipartitions(og), None
+        witnesses = fs_bipartitions(og)
     except CapExceededError as exc:
-        witnesses, skipped = None, str(exc)
-
-    if args.format == "structured":
-        _emit_structured(
-            {
-                "command": "check",
-                "valid": True,
-                "vertices": len(og.vertices),
-                "edges": len(og.edges),
-                "n_e": report.n_e,
-                "c_e": report.c_e,
-                "d": a.lattice.rank,
-                "edge_classes": _classes_obj(a),
-                "conditions": {
-                    "star": _verdict_obj(star_verdict),
-                    "starstar": _verdict_obj(starstar_verdict),
-                },
-                "fs": {
-                    "min2": _fs_obj(is_fs_degeneration(witnesses, 2)),
-                    "min4": _fs_obj(is_fs_degeneration(witnesses, 4)),
-                }
-                if skipped is None
-                else {"skipped": True, "reason": skipped},
-                "indeterminacy": indeterminacy,
-            },
-            args.output,
-        )
-        return 0
-
+        fs_obj = {"skipped": True, "reason": str(exc)}
+        fs_text = f"friedman-smith search skipped: {exc}"
+    else:
+        fs_obj = {
+            "min2": _fs_obj(is_fs_degeneration(witnesses, 2)),
+            "min4": _fs_obj(is_fs_degeneration(witnesses, 4)),
+        }
+        fs_text = fs_report(witnesses)
+    payload = {
+        "command": "check",
+        "valid": True,
+        "vertices": len(og.vertices),
+        "edges": len(og.edges),
+        "n_e": report.n_e,
+        "c_e": report.c_e,
+        "d": a.lattice.rank,
+        "edge_classes": _classes_obj(a),
+        "conditions": {
+            "star": _verdict_obj(star_verdict),
+            "starstar": _verdict_obj(starstar_verdict),
+        },
+        "fs": fs_obj,
+        "indeterminacy": indeterminacy,
+    }
     lines = [
         f"valid: yes ({len(og.vertices)} vertices, {len(og.edges)} edges; "
         f"bold: {len(report.bold_vertices)} vertices, {len(report.bold_edges)} edges)",
         classification_report(a),
         dicing_report(star_verdict),
         dicing_report(starstar_verdict),
-        fs_report(witnesses)
-        if skipped is None
-        else f"friedman-smith search skipped: {skipped}",
+        fs_text,
         f"indeterminacy: {'YES' if indeterminacy else 'NO'}",
     ]
-    _emit("\n".join(lines), args.output)
-    return 0
+    return _answer(args.format, args.output, payload, lines)
 
 
 def cmd_classify(args) -> int:
     a = analyse(load_graph(args.input))
-    if args.format == "structured":
-        _emit_structured(
-            {
-                "command": "classify",
-                "d": a.lattice.rank,
-                "edge_classes": _classes_obj(a),
-            },
-            args.output,
-        )
-        return 0
-    _emit(classification_report(a), args.output)
-    return 0
+    payload = {"command": "classify", "d": a.lattice.rank, "edge_classes": _classes_obj(a)}
+    return _answer(args.format, args.output, payload, [classification_report(a)])
 
 
 def cmd_fs(args) -> int:
     witnesses = fs_bipartitions(load_graph(args.input))
     witness = is_fs_degeneration(witnesses, args.min_fs_edges)
-    if args.format == "structured":
-        _emit_structured(
-            {
-                "command": "fs",
-                "min_edges": args.min_fs_edges,
-                "found": witness is not None,
-                "witness": _fs_obj(witness),
-            },
-            args.output,
-        )
-        return 0
-    lines = [fs_report(witnesses)]
-    found = "YES" if witness is not None else "no"
-    lines.append(
-        f"friedman-smith degeneration with >= {args.min_fs_edges} crossing edges: {found}"
-    )
-    _emit("\n".join(lines), args.output)
-    return 0
+    payload = {
+        "command": "fs",
+        "min_edges": args.min_fs_edges,
+        "found": witness is not None,
+        "witness": _fs_obj(witness),
+    }
+    lines = [
+        fs_report(witnesses),
+        f"friedman-smith degeneration with >= {args.min_fs_edges} crossing edges: "
+        f"{'YES' if witness is not None else 'no'}",
+    ]
+    return _answer(args.format, args.output, payload, lines)
 
 
 def cmd_verify(args) -> int:
@@ -213,51 +195,45 @@ def cmd_verify(args) -> int:
     )
     report = run_suite(spec, args.output)
     summary = report.summary
-    if args.format == "structured":
-        _emit_structured(
-            {
-                "command": "verify",
-                **summary,
-                "report_path": report.report_path,
-                "counterexamples_path": report.counterexamples_path,
-                "summary_path": report.summary_path,
-            },
-            None,
-        )
-    else:
-        print(f"graphs checked: {summary['graphs']}")
-        for name, tally in summary["per_check"].items():
-            print(f"  {name}: pass {tally['pass']}, fail {tally['fail']}")
-        print(f"failed checks: {summary['failed_checks']}")
-        print(f"report: {report.report_path}")
-        print(f"counterexamples: {report.counterexamples_path}")
-        print(f"summary: {report.summary_path}")
+    payload = {
+        "command": "verify",
+        **summary,
+        "report_path": report.report_path,
+        "counterexamples_path": report.counterexamples_path,
+        "summary_path": report.summary_path,
+    }
+    lines = [
+        f"graphs checked: {summary['graphs']}",
+        *(
+            f"  {name}: pass {tally['pass']}, fail {tally['fail']}"
+            for name, tally in summary["per_check"].items()
+        ),
+        f"failed checks: {summary['failed_checks']}",
+        f"report: {report.report_path}",
+        f"counterexamples: {report.counterexamples_path}",
+        f"summary: {report.summary_path}",
+    ]
+    # --output names the record file here, so the answer goes to stdout.
+    _answer(args.format, None, payload, lines)
     return 0 if report.ok else 4
 
 
 def cmd_components(args) -> int:
     splittings = fs_component_genera(args.genus, args.n)
-    if args.format == "structured":
-        _emit_structured(
-            {
-                "command": "components",
-                "genus": args.genus,
-                "n": args.n,
-                "splittings": [list(pair) for pair in splittings],
-                "count": len(splittings),
-            },
-            args.output,
-        )
-        return 0
+    payload = {
+        "command": "components",
+        "genus": args.genus,
+        "n": args.n,
+        "splittings": [list(pair) for pair in splittings],
+        "count": len(splittings),
+    }
     lines = [
         f"component genus splittings for total genus {args.genus} "
-        f"with 2n = {2 * args.n} exchanged nodes:"
+        f"with 2n = {2 * args.n} exchanged nodes:",
+        *(f"  ({low}, {high})" for low, high in splittings),
+        f"count: {len(splittings)}",
     ]
-    for low, high in splittings:
-        lines.append(f"  ({low}, {high})")
-    lines.append(f"count: {len(splittings)}")
-    _emit("\n".join(lines), args.output)
-    return 0
+    return _answer(args.format, args.output, payload, lines)
 
 
 def _orbit_cap(text: str):
@@ -273,32 +249,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_format(p):
+        p.add_argument("--format", choices=("human", "structured"), default="human")
+
+    for name, help_text, func in (
+        ("check", "full analysis of one graph", cmd_check),
+        ("classify", "rank and edge-orbit types", cmd_classify),
+        ("fs", "friedman-smith degeneration search", cmd_fs),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="graph document (json)")
         p.add_argument("--output", default=None, help="write the result here instead of stdout")
-        p.add_argument(
-            "--format", choices=("human", "structured"), default="human"
-        )
+        add_format(p)
+        if name == "fs":
+            p.add_argument(
+                "--min-fs-edges", type=int, choices=(2, 4), default=4,
+                help="required number of crossing edges",
+            )
+        p.set_defaults(func=func)
 
-    p_check = sub.add_parser("check", help="full analysis of one graph")
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_classify = sub.add_parser("classify", help="rank and edge-orbit types")
-    add_common(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_fs = sub.add_parser("fs", help="friedman-smith degeneration search")
-    add_common(p_fs)
-    p_fs.add_argument(
-        "--min-fs-edges", type=int, choices=(2, 4), default=4,
-        help="required number of crossing edges",
-    )
-    p_fs.set_defaults(func=cmd_fs)
-
-    p_verify = sub.add_parser(
-        "verify", help="exhaustive cross-check over all small graphs"
-    )
+    p_verify = sub.add_parser("verify", help="exhaustive cross-check over all small graphs")
     p_verify.add_argument("--max-fixed-vertices", type=int, default=2)
     p_verify.add_argument("--max-vertex-pairs", type=int, default=1)
     p_verify.add_argument("--max-fixed-edges", type=int, default=4)
@@ -307,20 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-edge-orbits", type=_orbit_cap, default=4,
         help="total edge-orbit cap, or 'none'",
     )
-    p_verify.add_argument(
-        "--allow-loops", action=argparse.BooleanOptionalAction, default=True
-    )
-    p_verify.add_argument(
-        "--dedup", action=argparse.BooleanOptionalAction, default=True
-    )
+    p_verify.add_argument("--allow-loops", action=argparse.BooleanOptionalAction, default=True)
+    p_verify.add_argument("--dedup", action=argparse.BooleanOptionalAction, default=True)
     p_verify.add_argument(
         "--output", default="verify_report.ndjson",
         help="newline-delimited record file; counterexample and summary "
         "files are derived from this name",
     )
-    p_verify.add_argument(
-        "--format", choices=("human", "structured"), default="human"
-    )
+    add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_components = sub.add_parser(
@@ -329,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_components.add_argument("genus", type=int)
     p_components.add_argument("n", type=int)
     p_components.add_argument("--output", default=None)
-    p_components.add_argument(
-        "--format", choices=("human", "structured"), default="human"
-    )
+    add_format(p_components)
     p_components.set_defaults(func=cmd_components)
 
     return parser

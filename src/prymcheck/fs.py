@@ -173,51 +173,44 @@ def complete_subgraph_pair(
     require_valid(g)
     _check_pair(g, pair)
     emap = g.involution.edges
+    v1, v2 = pair.vertices1, pair.vertices2
 
-    direct = [
+    ordinary_direct = [
         e.id
         for e in g.edges
-        if (e.tail in pair.vertices1 and e.head in pair.vertices2)
-        or (e.tail in pair.vertices2 and e.head in pair.vertices1)
+        if emap[e.id] != e.id
+        and (e.tail in v1 and e.head in v2 or e.tail in v2 and e.head in v1)
     ]
-    ordinary_direct = [eid for eid in direct if emap[eid] != eid]
     if len(ordinary_direct) < min_edges:
         raise ValueError(
             f"parts are connected by only {len(ordinary_direct)} ordinary "
             f"edges, need at least {min_edges}"
         )
 
-    bold = bold_components(g)
-    for comp in bold:
-        if comp & pair.vertices1 and comp & pair.vertices2:
+    verts1, verts2 = set(v1), set(v2)
+    for comp in bold_components(g):
+        if comp & v1 and comp & v2:
             raise ValueError(
                 f"parts are connected by a bold path through {sorted(comp)}"
             )
-
-    verts1 = set(pair.vertices1)
-    verts2 = set(pair.vertices2)
-    for comp in bold:
-        if comp & verts1:
+        if comp & v1:
             verts1 |= comp
-        elif comp & verts2:
+        elif comp & v2:
             verts2 |= comp
 
+    # Components of the rest are pairwise non-adjacent; only part1 grows.
     outside = set(g.vertex_ids) - verts1 - verts2
     for comp in components(outside, g.edges):
         ends = {
             v for e in g.edges if e.tail in comp or e.head in comp for v in (e.tail, e.head)
         }
-        touches1 = not ends.isdisjoint(verts1)
-        touches2 = not ends.isdisjoint(verts2)
-        if touches1 and not touches2:
+        if ends.isdisjoint(verts2):
+            if ends.isdisjoint(verts1):
+                raise RuntimeError(
+                    "complement component attached to neither part; the graph "
+                    "should be connected"
+                )
             verts1 |= comp
-        elif touches2 and not touches1:
-            verts2 |= comp
-        elif not touches1 and not touches2:
-            raise RuntimeError(
-                "complement component attached to neither part; the graph "
-                "should be connected"
-            )
 
     witness = _witness(g, frozenset(verts1), frozenset(g.vertex_ids), g.edge_orbits())
     if witness is None:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from helpers import FIXTURES
-from prymcheck import fs
+from prymcheck import cli, fs
 from prymcheck.cli import main
 from prymcheck.dicing import condition_star, condition_star_star
 from prymcheck.fs import MAX_SPLITTINGS, fs_bipartitions, is_fs_degeneration
@@ -373,3 +377,80 @@ class TestErrorExits:
             capsys, "fs", "--input", fixture_path("fs2"), "--min-fs-edges", "3"
         )
         assert code == 2
+
+
+def test_dispatch_reads_the_module(capsys, monkeypatch):
+    # Tracers time a subcommand by rebinding its cmd_* name in the module,
+    # so main must dispatch through that name, not a copy taken earlier.
+    def stub(args):
+        print(f"stub {args.genus} {args.n}")
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_components", stub)
+    assert run(capsys, "components", "5", "2") == (7, "stub 5 2\n", "")
+
+
+# Golden outputs: stdout, stderr, exit code and the file written by --output
+# for each argv below, pinned in GOLDEN.  FIX stands for the fixtures
+# directory and TMP for a scratch directory; TMP is written back in place of
+# that directory in the recorded output.  After a deliberate output change,
+# regenerate with
+#   PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
+GOLDEN = FIXTURES / "cli_golden.json"
+
+
+def golden_cases() -> list[str]:
+    cases = []
+    for fmt in ("human", "structured"):
+        for name in ALL_FIXTURES:
+            path = f"FIX/{name}.json"
+            cases += [
+                f"check --input {path} --format {fmt}",
+                f"classify --input {path} --format {fmt}",
+                f"fs --input {path} --min-fs-edges 2 --format {fmt}",
+                f"fs --input {path} --min-fs-edges 4 --format {fmt}",
+            ]
+        cases += [
+            f"components 5 2 --format {fmt}",
+            f"components 3 4 --format {fmt}",
+            f"verify --max-edge-orbits 3 --output TMP/v.ndjson --format {fmt}",
+        ]
+    return cases + [
+        "check --input FIX/fs4.json --output TMP/check.txt",
+        "classify --input FIX/fs4tail.json --format structured --output TMP/classify.json",
+    ]
+
+
+def run_golden_case(case: str, tmp: Path) -> dict:
+    argv = [arg.replace("FIX", str(FIXTURES)).replace("TMP", str(tmp)) for arg in case.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    written = None
+    if argv[0] != "verify" and "--output" in argv:
+        written = Path(argv[argv.index("--output") + 1]).read_bytes().decode()
+    return {
+        "code": code,
+        "stdout": out.getvalue().replace(str(tmp), "TMP"),
+        "stderr": err.getvalue(),
+        "written": written,
+    }
+
+
+def write_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {case: run_golden_case(case, Path(tmp)) for case in golden_cases()}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+class TestGoldenOutputs:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_covers_every_case(self, golden):
+        assert sorted(golden) == sorted(golden_cases())
+
+    @pytest.mark.parametrize("case", golden_cases())
+    def test_bytes(self, golden, case, tmp_path):
+        assert run_golden_case(case, tmp_path) == golden[case]

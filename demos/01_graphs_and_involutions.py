@@ -62,7 +62,7 @@ print("arithmetic genus:", arithmetic_genus(g))
 # stored orientations (keeping the orbit representative's) and is
 # idempotent.
 og = auto_orient(g)
-print("oriented:", og.oriented)
+print("oriented:", validate(og).oriented)
 print("canonical encoding:", canonical_json(og)[:60], "...")
 
 # The bold subgraph is what the involution fixes pointwise.  Here it is

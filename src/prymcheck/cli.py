@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .dicing import (
     DicingVerdict,
@@ -184,15 +185,7 @@ def cmd_fs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = GenSpec(
-        max_fixed_vertices=args.max_fixed_vertices,
-        max_vertex_pairs=args.max_vertex_pairs,
-        max_fixed_edges=args.max_fixed_edges,
-        max_edge_pairs=args.max_edge_pairs,
-        max_edge_orbits=args.max_edge_orbits,
-        allow_loops=args.allow_loops,
-        dedup=args.dedup,
-    )
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)})
     report = run_suite(spec, args.output)
     summary = report.summary
     payload = {
@@ -269,16 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="exhaustive cross-check over all small graphs")
-    p_verify.add_argument("--max-fixed-vertices", type=int, default=2)
-    p_verify.add_argument("--max-vertex-pairs", type=int, default=1)
-    p_verify.add_argument("--max-fixed-edges", type=int, default=4)
-    p_verify.add_argument("--max-edge-pairs", type=int, default=4)
-    p_verify.add_argument(
-        "--max-edge-orbits", type=_orbit_cap, default=4,
-        help="total edge-orbit cap, or 'none'",
-    )
-    p_verify.add_argument("--allow-loops", action=argparse.BooleanOptionalAction, default=True)
-    p_verify.add_argument("--dedup", action=argparse.BooleanOptionalAction, default=True)
+    # One option per GenSpec field, in field order, with its default.
+    for f in fields(GenSpec):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p_verify.add_argument(flag, action=argparse.BooleanOptionalAction, default=f.default)
+        elif f.name == "max_edge_orbits":
+            p_verify.add_argument(flag, type=_orbit_cap, default=f.default, help="total edge-orbit cap, or 'none'")
+        else:
+            p_verify.add_argument(flag, type=int, default=f.default)
     p_verify.add_argument(
         "--output", default="verify_report.ndjson",
         help="newline-delimited record file; counterexample and summary "

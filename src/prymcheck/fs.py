@@ -71,8 +71,9 @@ def _witness(g: EquivariantGraph, part1, all_vertices, edge_orbits) -> FSWitness
     part2 = all_vertices - part1
     if len(components(part1, g.edges)) != 1 or len(components(part2, g.edges)) != 1:
         return None
+    emap = g.involution.edges
     crossing = {e.id for e in g.edges if (e.tail in part1) != (e.head in part1)}
-    if any(g.is_bold_edge(eid) for eid in crossing):
+    if any(emap[eid] == eid for eid in crossing):
         return None
     # Crossing sets are involution-invariant, so an orbit crosses exactly
     # when its representative does.

@@ -9,9 +9,11 @@ branches are swapped; such graphs are rejected by validate).
 Orientation: every edge is stored as an ordered pair (tail, head).  The
 orientation is *compatible* with the involution when the image of every
 edge is its partner traversed the same way, i.e. the partner of tail->head
-is i(tail)->i(head).  auto_orient normalizes any valid graph to a
-compatible orientation and sets the `oriented` flag; a graph that already
-carries the flag (which validate checks) is returned as it is.
+is i(tail)->i(head).  Which way an edge is stored is a coordinate choice,
+so it is a fact validate reads off the edges (ValidationReport.oriented),
+not part of a graph's identity.  auto_orient normalizes any valid graph
+to a compatible orientation and returns a graph stored compatibly as it
+is.
 """
 
 from __future__ import annotations
@@ -84,33 +86,16 @@ class EquivariantGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[OrientedEdge, ...]
     involution: Involution
-    oriented: bool = False
 
     def __post_init__(self):
         # Sorted from the stored tuples, so repeated ids stay visible.
         object.__setattr__(self, "vertex_ids", tuple(sorted(v.id for v in self.vertices)))
         object.__setattr__(self, "edge_ids", tuple(sorted(e.id for e in self.edges)))
-        object.__setattr__(self, "_vertex_by_id", {v.id: v for v in self.vertices})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in self.edges})
         object.__setattr__(self, "_report", None)
 
-    def vertex(self, vid: str) -> Vertex:
-        return self._vertex_by_id[vid]
-
     def edge(self, eid: str) -> OrientedEdge:
         return self._edge_by_id[eid]
-
-    def vmap(self, vid: str) -> str:
-        return self.involution.vertices[vid]
-
-    def emap(self, eid: str) -> str:
-        return self.involution.edges[eid]
-
-    def is_bold_vertex(self, vid: str) -> bool:
-        return self.involution.vertices[vid] == vid
-
-    def is_bold_edge(self, eid: str) -> bool:
-        return self.involution.edges[eid] == eid
 
     def vertex_orbits(self) -> tuple[tuple[str, str], ...]:
         """Involution orbits on vertices as (rep, partner), rep <= partner,
@@ -137,7 +122,9 @@ def _orbits(ids, mapping) -> tuple[tuple[str, str], ...]:
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate: every violation found, as (code, message) pairs,
-    plus bold/count data when the graph is valid."""
+    plus bold/count data when the graph is valid.  oriented says whether a
+    valid graph is stored compatibly: every partner edge runs exactly
+    i(tail) -> i(head)."""
 
     ok: bool
     violations: tuple[tuple[str, str], ...]
@@ -145,6 +132,7 @@ class ValidationReport:
     bold_edges: frozenset[str] | None = None
     n_e: int | None = None
     c_e: int | None = None
+    oriented: bool = False
 
 
 def parse_graph(text: str) -> EquivariantGraph:
@@ -299,7 +287,7 @@ def validate(g: EquivariantGraph) -> ValidationReport:
     Codes: duplicate-vertex-id, duplicate-edge-id, no-vertices, bad-genus,
     dangling-endpoint, vertex-map-domain, edge-map-domain,
     vertex-map-not-involution, edge-map-not-involution, edge-map-incidence,
-    type-2-node, orientation-incompatible, not-connected.
+    type-2-node, not-connected.
 
     The report is computed once per graph object; later calls return it.
     """
@@ -340,25 +328,21 @@ def validate(g: EquivariantGraph) -> ValidationReport:
         for eid in g.edge_ids:
             if emap[emap[eid]] != eid:
                 violations.append(("edge-map-not-involution", f"i(i({eid!r})) != {eid!r}"))
+        oriented = True
         for e in g.edges:
             partner = g.edge(emap[e.id])
             a, b = vmap[e.tail], vmap[e.head]
-            if (partner.tail, partner.head) not in ((a, b), (b, a)):
-                violations.append(
-                    ("edge-map-incidence", f"edge {e.id!r}: partner {partner.id!r} does not join the image endpoints")
-                )
+            if (partner.tail, partner.head) != (a, b):
+                oriented = False
+                if (partner.tail, partner.head) != (b, a):
+                    violations.append(
+                        ("edge-map-incidence", f"edge {e.id!r}: partner {partner.id!r} does not join the image endpoints")
+                    )
         for e in g.edges:
             if emap[e.id] == e.id and (vmap[e.tail] != e.tail or vmap[e.head] != e.head):
                 violations.append(
                     ("type-2-node", f"fixed edge {e.id!r} has exchanged endpoints (not allowed)")
                 )
-        if g.oriented:
-            for e in g.edges:
-                partner = g.edge(emap[e.id])
-                if (partner.tail, partner.head) != (vmap[e.tail], vmap[e.head]):
-                    violations.append(
-                        ("orientation-incompatible", f"edge {e.id!r}: orientation of partner {partner.id!r} is not the involution image")
-                    )
         if g.vertices and len(components(vids, g.edges)) != 1:
             violations.append(("not-connected", "underlying graph is not connected"))
 
@@ -369,7 +353,7 @@ def validate(g: EquivariantGraph) -> ValidationReport:
         bold_edges = frozenset(e for e in eids if emap[e] == e)
         n_e = (len(eids) - len(bold_edges)) // 2
         c_e = (len(vids) - len(bold_vertices)) // 2
-        report = ValidationReport(True, (), bold_vertices, bold_edges, n_e, c_e)
+        report = ValidationReport(True, (), bold_vertices, bold_edges, n_e, c_e, oriented)
     object.__setattr__(g, "_report", report)
     return report
 
@@ -388,24 +372,18 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
     The representative of each exchanged pair (the lexicographically smaller
     id) keeps its stored orientation; its partner is re-oriented to the
     involution image.  Fixed edges are untouched (their endpoints are fixed,
-    so they are compatible as stored).  A graph flagged oriented is returned
-    itself: require_valid has checked its orientation.
+    so they are compatible as stored).  A graph already stored compatibly
+    is returned itself.
     """
-    require_valid(g)
-    if g.oriented:
+    if require_valid(g).oriented:
         return g
     vmap = g.involution.vertices
     emap = g.involution.edges
-    oriented = {}
+    edges = []
     for e in g.edges:
-        partner = emap[e.id]
-        if partner == e.id or e.id < partner:
-            oriented[e.id] = e
-    for e in g.edges:
-        partner = emap[e.id]
-        if partner != e.id and e.id < partner:
-            oriented[partner] = OrientedEdge(partner, vmap[e.tail], vmap[e.head])
-    return replace(g, edges=tuple(oriented[e.id] for e in g.edges), oriented=True)
+        rep = g.edge(min(e.id, emap[e.id]))
+        edges.append(e if rep is e else OrientedEdge(e.id, vmap[rep.tail], vmap[rep.head]))
+    return replace(g, edges=tuple(edges))
 
 
 def bold_components(g: EquivariantGraph) -> tuple[frozenset[str], ...]:

@@ -105,8 +105,7 @@ class Analysis:
 
 
 def _require_oriented(g: EquivariantGraph):
-    require_valid(g)
-    if not g.oriented:
+    if not require_valid(g).oriented:
         raise ValueError(
             "graph orientation is not normalized; call auto_orient first"
         )
@@ -170,10 +169,10 @@ def _cycle_data(vertex_ids, edges):
 def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
     """Cycle space basis from the deterministic spanning tree.
 
-    Requires a valid graph with normalized orientation.  For a connected
-    graph the basis has #edges - #vertices + 1 chains.
+    Requires a valid graph; chains read the edges as stored.  For a
+    connected graph the basis has #edges - #vertices + 1 chains.
     """
-    _require_oriented(g)
+    require_valid(g)
     cycles, tree = _cycle_data(g.vertex_ids, g.edges)
     return CycleBasis(tuple(cycles), frozenset(tree))
 

@@ -178,7 +178,7 @@ def _edge_slots(ids, vmap, allow_loops: bool):
 
 def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
     """The connected graph on one edge choice, or None.  Each partner edge
-    is the image of its representative, so the graph is built oriented."""
+    is the image of its representative, so the graph is stored compatibly."""
     edges = []
     emap = {}
     for k, (x, y) in enumerate(bold_choice, start=1):
@@ -194,7 +194,7 @@ def _assemble(ids, vmap, bold_choice, pair_choice) -> EquivariantGraph | None:
     if len(components(ids, edges)) != 1:
         return None
     vertices = tuple(Vertex(v) for v in ids)
-    return EquivariantGraph(vertices, tuple(edges), Involution(vmap, emap), oriented=True)
+    return EquivariantGraph(vertices, tuple(edges), Involution(vmap, emap))
 
 
 def isomorphism_key(g: EquivariantGraph):
@@ -223,7 +223,8 @@ def isomorphism_key(g: EquivariantGraph):
         )
     ids = g.vertex_ids
     index = {vid: k for k, vid in enumerate(ids)}
-    vmap = [index[g.vmap(vid)] for vid in ids]
+    emap = g.involution.edges
+    vmap = [index[g.involution.vertices[vid]] for vid in ids]
     fixed = [k for k in range(n) if vmap[k] == k]
     pairs = [(k, vmap[k]) for k in range(n) if vmap[k] > k]
     bold_ends = []
@@ -231,10 +232,10 @@ def isomorphism_key(g: EquivariantGraph):
     seen = set()
     for e in g.edges:
         x, y = index[e.tail], index[e.head]
-        if g.is_bold_edge(e.id):
+        if emap[e.id] == e.id:
             bold_ends.append((x, y))
         elif e.id not in seen:
-            seen.update((e.id, g.emap(e.id)))
+            seen.update((e.id, emap[e.id]))
             orbit_ends.append((x, y, vmap[x], vmap[y]))
     f = len(fixed)
     tau = tuple(range(f)) + tuple(f + (k ^ 1) for k in range(n - f))
@@ -277,7 +278,7 @@ def isomorphism_key(g: EquivariantGraph):
 def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
     """All connected equivariant multigraphs within the bounds, in a fixed
     deterministic order; with spec.dedup, one per isomorphism class.  Each
-    is built with a compatible orientation and flagged oriented."""
+    is stored compatibly, so auto_orient returns it itself."""
     seen_keys = set()
     for n_fixed in range(spec.max_fixed_vertices + 1):
         for n_pairs in range(spec.max_vertex_pairs + 1):
@@ -336,7 +337,8 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     fs4 = is_fs_degeneration(witnesses, 4) is not None
     by_cycles = classify_edges_by_cycles(og)
     col = {eid: k for k, eid in enumerate(lattice.edge_ids)}
-    image_col = [col[og.emap(eid)] for eid in lattice.edge_ids]
+    emap = og.involution.edges
+    image_col = [col[emap[eid]] for eid in lattice.edge_ids]
 
     checks = {
         "theorem1": star == (not fs4),
@@ -347,7 +349,7 @@ def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
             row[k] == -v for row in lattice.rows for k, v in zip(image_col, row)
         ),
         "gcd_bound": all(v in (0, 1, 2) for v in lattice.edge_gcds.values())
-        and all(c.type == 1 for c in classes if og.is_bold_edge(c.orbit_rep)),
+        and all(c.type == 1 for c in classes if emap[c.orbit_rep] == c.orbit_rep),
         "classifier_agreement": all(
             by_cycles[c.orbit_rep] == by_cycles[c.partner] == c.type
             for c in classes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -16,7 +17,7 @@ def load_fixture(name):
     return parse_graph((FIXTURES / f"{name}.json").read_text())
 
 
-def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=(), oriented=False):
+def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=()):
     """Compact graph builder.
 
     vertex_spec: iterable of id or (id, genus); edge_spec: iterable of
@@ -38,7 +39,7 @@ def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=(), oriented=False):
     for a, b in eswaps:
         emap[a] = b
         emap[b] = a
-    return EquivariantGraph(tuple(vertices), tuple(edges), Involution(vmap, emap), oriented)
+    return EquivariantGraph(tuple(vertices), tuple(edges), Involution(vmap, emap))
 
 
 def layout(n_fixed, n_pairs):
@@ -84,6 +85,54 @@ def relabel(g: EquivariantGraph, rng: random.Random) -> EquivariantGraph:
     )
 
 
+def reverse_edges(g: EquivariantGraph, eids) -> EquivariantGraph:
+    """g with the edges named in eids stored the other way round."""
+    eids = set(eids)
+    return dataclasses.replace(
+        g,
+        edges=tuple(OrientedEdge(e.id, e.head, e.tail) if e.id in eids else e for e in g.edges),
+    )
+
+
+def partner_edges(g: EquivariantGraph):
+    """The partner (larger id) of every exchanged edge orbit."""
+    return [partner for rep, partner in g.edge_orbits() if partner != rep]
+
+
+def subdivide(g: EquivariantGraph, rep: str) -> EquivariantGraph:
+    """g with the edge orbit of rep split by a new vertex orbit.
+
+    A bold edge rep: tail -> head becomes rep/1: tail -> m and
+    rep/2: m -> head through a new fixed vertex m.  An exchanged orbit
+    gets a new exchanged pair m, m': rep is split as above and its
+    partner becomes the images i(tail) -> m' -> i(head) of the two
+    halves, partner/k exchanged with rep/k.  The new vertices carry no
+    genus label.
+    """
+    vmap = dict(g.involution.vertices)
+    emap = dict(g.involution.edges)
+    partner = emap.pop(rep)
+    emap.pop(partner, None)
+    e = g.edge(rep)
+    mid, image = f"{rep}/m", f"{rep}/m'"
+    if partner == rep:
+        # Bold: one fixed vertex, and the partner's halves are rep's own.
+        image = mid
+    vmap[mid], vmap[image] = image, mid
+    halves = {
+        rep: [OrientedEdge(f"{rep}/1", e.tail, mid), OrientedEdge(f"{rep}/2", mid, e.head)],
+        partner: [
+            OrientedEdge(f"{partner}/1", vmap[e.tail], image),
+            OrientedEdge(f"{partner}/2", image, vmap[e.head]),
+        ],
+    }
+    for k in (1, 2):
+        emap[f"{rep}/{k}"], emap[f"{partner}/{k}"] = f"{partner}/{k}", f"{rep}/{k}"
+    vertices = g.vertices + tuple(Vertex(v) for v in dict.fromkeys((mid, image)))
+    edges = tuple(h for x in g.edges for h in halves.get(x.id, [x]))
+    return EquivariantGraph(vertices, edges, Involution(vmap, emap))
+
+
 def fs_chain(n_pairs, tail_edges=0):
     """FS(2k) banana graph: two fixed vertices joined by k exchanged pairs,
     optionally extended by a path of fixed (bold) edges hanging off v2."""
@@ -108,14 +157,15 @@ def reference_isomorphism_key(g: EquivariantGraph):
     n = len(g.vertices)
     ids = g.vertex_ids
     vmap = g.involution.vertices
+    emap = g.involution.edges
     bold_ends = []
     orbit_ends = []
     seen = set()
     for e in g.edges:
-        if g.is_bold_edge(e.id):
+        if emap[e.id] == e.id:
             bold_ends.append((e.tail, e.head))
         elif e.id not in seen:
-            seen.update((e.id, g.emap(e.id)))
+            seen.update((e.id, emap[e.id]))
             orbit_ends.append((e.tail, e.head))
     best = None
     for perm in itertools.permutations(range(n)):

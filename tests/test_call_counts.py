@@ -3,24 +3,27 @@ the Friedman-Smith bipartitions once, build the lattice X^- once and list
 the simple cycles at most once, whatever they report, and `check_graph`
 computes an HNF only for the lattice and the two functional matrices.
 `enumerate_graphs` validates only the connected candidates it emits, and
-a validation report is computed once per graph object.  Enumerated
-graphs are built oriented, so `check_graph` builds no graph for them and
-computes no report beyond the enumerator's; a graph given unoriented is
-validated once and its oriented copy once more.  `is_dicing` calls
+a validation report is computed once per graph object.  A graph stored
+with a compatible orientation (every fixture and every enumerated graph)
+is validated once and no graph is built from it; a graph with a partner
+edge stored the other way is validated once and its oriented copy once
+more.  `is_dicing` calls
 `linalg.det` only to confirm the offending minor it found, and its
 witness solves all d unit systems by one elimination."""
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
 import pytest
 
-from helpers import FIXTURES, build_on_layout, load_fixture
+from helpers import FIXTURES, build_on_layout, load_fixture, partner_edges, reverse_edges
 from prymcheck import fs, graphs, homology, linalg
 from prymcheck.cli import main
 from prymcheck.dicing import condition_star, condition_star_star, is_dicing, star_matrix
+from prymcheck.graphs import to_document
 from prymcheck.homology import analyse
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
 
@@ -72,12 +75,34 @@ def test_check_analyses_once(calls, reports, capsys, name, fmt):
     capsys.readouterr()
     assert calls["fs_bipartitions"] == 1
     assert calls["anti_invariant_lattice"] == 1
-    assert reports["ValidationReport"] == 2
+    assert reports["ValidationReport"] == 1
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_check_graph_analyses_once(calls, reports, name):
     assert check_graph(load_fixture(name)).ok
+    assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "anti_invariant_lattice": 1}
+    assert reports["ValidationReport"] == 1
+
+
+def _fs4_flipped():
+    g = load_fixture("fs4")
+    return reverse_edges(g, partner_edges(g))
+
+
+def test_check_validates_a_flipped_graph_and_its_copy(calls, reports, tmp_path, capsys):
+    # fs4 with its partner edges reversed: the input and the oriented copy.
+    source = tmp_path / "fs4flipped.json"
+    source.write_text(json.dumps(to_document(_fs4_flipped())))
+    assert main(["check", "--input", str(source)]) == 0
+    capsys.readouterr()
+    assert calls["fs_bipartitions"] == 1
+    assert calls["anti_invariant_lattice"] == 1
+    assert reports["ValidationReport"] == 2
+
+
+def test_check_graph_validates_a_flipped_graph_and_its_copy(calls, reports):
+    assert check_graph(_fs4_flipped()).ok
     assert calls == {"fs_bipartitions": 1, "simple_cycles": 1, "anti_invariant_lattice": 1}
     assert reports["ValidationReport"] == 2
 
@@ -99,10 +124,10 @@ def test_enumeration_validates_each_emitted_graph_once(monkeypatch):
 
 
 def test_enumeration_and_check_compute_one_report_per_graph(reports):
-    # Enumerated graphs are built oriented, so check_graph reuses the
+    # Enumerated graphs are stored compatibly, so check_graph reuses the
     # report the enumerator's self-check stored and makes no oriented copy.
     graphs_seen = list(enumerate_graphs(GenSpec(dedup=False)))
-    assert all(g.oriented for g in graphs_seen)
+    assert all(graphs.validate(g).oriented for g in graphs_seen)
     assert reports["ValidationReport"] == len(graphs_seen) == 487
     for g in graphs_seen:
         check_graph(g)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import load_fixture, make_graph
+from helpers import load_fixture, make_graph, partner_edges, reverse_edges
 from prymcheck.errors import GraphFormatError, InvalidGraphError
 from prymcheck.graphs import (
     EquivariantGraph,
@@ -44,8 +44,8 @@ class TestParse:
         assert [v.id for v in fs4.vertices] == ["v1", "v2"]
 
     def test_genus_parsed(self, fs2, boldbanana):
-        assert fs2.vertex("v1").genus == 2
-        assert boldbanana.vertex("v1").genus is None
+        assert fs2.vertices[0] == Vertex("v1", 2)
+        assert boldbanana.vertices[0] == Vertex("v1", None)
 
     @pytest.mark.parametrize(
         "text",
@@ -127,16 +127,15 @@ class TestValidate:
         g = make_graph([], [])
         assert "no-vertices" in violation_codes(g)
 
-    def test_oriented_flag_checked(self, fs2):
-        # claim oriented=True while e2 is stored against the involution image
-        bad = dataclasses.replace(
-            fs2,
-            edges=(fs2.edge("e1"), OrientedEdge("e2", "v2", "v1")),
-            oriented=True,
-        )
-        assert "orientation-incompatible" in violation_codes(bad)
-        # the same graph without the flag is valid (normalization not claimed)
-        assert validate(dataclasses.replace(bad, oriented=False)).ok
+    def test_orientation_read_off_the_edges(self, fs2):
+        # e2 stored against the involution image of e1: still valid, and
+        # the report says it is not stored compatibly.
+        assert validate(fs2).oriented
+        flipped = reverse_edges(fs2, ["e2"])
+        report = validate(flipped)
+        assert report.ok and not report.oriented
+        # No flag tells the oriented copy from the graph stored that way.
+        assert auto_orient(flipped) == fs2
 
 
 class TestIds:
@@ -191,37 +190,38 @@ class TestAutoOrient:
         )
         normalized = auto_orient(variant)
         assert normalized.edge("e2") == OrientedEdge("e2", "v1", "v2")
-        assert normalized.oriented
-        assert validate(normalized).ok
+        assert validate(normalized).ok and validate(normalized).oriented
 
     def test_idempotent(self):
+        # Every fixture is stored compatibly, so it comes back itself, and
+        # reversing its partner edges is undone.
         for name in ALL_FIXTURES:
-            g = auto_orient(load_fixture(name))
-            assert auto_orient(g) is g
+            g = load_fixture(name)
+            assert validate(g).oriented and auto_orient(g) is g
+            og = auto_orient(reverse_edges(g, partner_edges(g)))
+            assert og == g and auto_orient(og) is og
 
     def test_square_already_compatible(self, square):
-        normalized = auto_orient(square)
-        assert normalized.edges == square.edges
+        assert auto_orient(square) is square
 
     def test_commutes_with_monotone_relabel(self, fs4):
         def relabel(g, prefix):
             vmap = {v.id: prefix + v.id for v in g.vertices}
             emap = {e.id: prefix + e.id for e in g.edges}
-            renamed = make_graph(
+            return make_graph(
                 [vmap[v.id] for v in g.vertices],
                 [(emap[e.id], vmap[e.tail], vmap[e.head]) for e in g.edges],
                 vswaps=[
                     (vmap[a], vmap[b])
-                    for a, b in [(x, g.vmap(x)) for x in g.involution.vertices]
+                    for a, b in g.involution.vertices.items()
                     if a != b and a < b
                 ],
                 eswaps=[
                     (emap[a], emap[b])
-                    for a, b in [(x, g.emap(x)) for x in g.involution.edges]
+                    for a, b in g.involution.edges.items()
                     if a != b and a < b
                 ],
             )
-            return dataclasses.replace(renamed, oriented=g.oriented)
 
         variant = dataclasses.replace(
             fs4,

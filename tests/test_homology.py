@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import fs_chain, load_fixture, make_graph
+from helpers import fs_chain, load_fixture, make_graph, reverse_edges
 from prymcheck import homology
 from prymcheck.errors import CapExceededError, InvalidGraphError
 from prymcheck.graphs import auto_orient, validate
@@ -112,9 +112,11 @@ class TestFundamentalCycles:
             basis = fundamental_cycles(auto_orient(g))
             assert len(basis.chains) == len(g.edges) - len(g.vertices) + 1
 
-    def test_requires_orientation(self, fs2):
-        with pytest.raises(ValueError, match="orientation"):
-            fundamental_cycles(fs2)
+    def test_reads_the_stored_orientation(self, fs2):
+        # No involution is applied, so any stored orientation will do: the
+        # chain reads e2 as stored, v2 -> v1.
+        basis = fundamental_cycles(reverse_edges(fs2, ["e2"]))
+        assert basis.chains == ({"e1": 2, "e2": 2},)
 
     def test_requires_validity(self):
         with pytest.raises(InvalidGraphError):
@@ -129,7 +131,7 @@ class TestInvolutionOnChain:
         image = involution_on_chain(og, chain)
         assert image == {"a2": -2, "b2": 2}
         for eid in og.edge_ids:
-            assert image.get(og.emap(eid), 0) == chain.get(eid, 0)
+            assert image.get(og.involution.edges[eid], 0) == chain.get(eid, 0)
 
     def test_involutive(self, square):
         og = auto_orient(square)
@@ -141,7 +143,7 @@ class TestInvolutionOnChain:
         # pushforward would map {e: 2, f: 2} to itself, while its true
         # image is {e: -2, f: -2}.
         g = make_graph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")], eswaps=[("e", "f")])
-        assert validate(g).ok and not g.oriented
+        assert validate(g).ok and not validate(g).oriented
         with pytest.raises(ValueError, match="orientation"):
             involution_on_chain(g, {"e": 2, "f": 2})
 
@@ -321,7 +323,7 @@ class TestAntiInvariantLattice:
             for row in lat.rows:
                 chain = dict(zip(lat.edge_ids, row))
                 for eid in og.edge_ids:
-                    assert chain[og.emap(eid)] == -chain[eid], name
+                    assert chain[og.involution.edges[eid]] == -chain[eid], name
 
     def test_gcd_bound(self):
         for name in ALL_FIXTURES:

@@ -1,8 +1,11 @@
 """Property tests on random valid graphs past the exhaustive grids: every
 check of `verify.check_graph` passes (both theorems' equivalences, the
 dicing oracle, witness soundness and the rest), every verdict is
-invariant under relabelling, and `prymcheck check` on the graph's
-document reports the verdicts `check_graph` records.  On random integer
+invariant under relabelling and under the direction in which edges are
+stored, subdividing an edge orbit keeps d, (*), (**) and both FS
+verdicts, and `prymcheck check` on the graph's document reports the
+verdicts `check_graph` records, byte for byte the same when the partner
+edges are stored the other way.  On random integer
 matrices with duplicate and dependent rows, which the grids never
 produce, `is_dicing` finds the minor the reference scan finds, and
 `linalg.solve` agrees with the Leibniz determinant on singular and
@@ -26,8 +29,11 @@ from helpers import (  # noqa: E402
     build_on_layout,
     layout,
     leibniz_det,
+    partner_edges,
     reference_first_offending_minor,
     relabel,
+    reverse_edges,
+    subdivide,
 )
 from prymcheck import linalg  # noqa: E402
 from prymcheck.cli import main  # noqa: E402
@@ -38,6 +44,7 @@ from prymcheck.verify import check_graph  # noqa: E402
 
 MAX_EDGE_ORBITS = 6
 VERDICTS = ("d", "n_e", "c_e", "star", "starstar", "fs2", "fs4", "has_type2")
+SUBDIVISION_VERDICTS = ("d", "star", "starstar", "fs2", "fs4")
 
 
 @st.composite
@@ -81,6 +88,38 @@ def test_checks_pass_and_verdicts_survive_relabelling(g, rng):
     other = check_graph(relabel(g, rng))
     assert other.ok, other.failing_checks()
     assert [getattr(other, f) for f in VERDICTS] == [getattr(record, f) for f in VERDICTS]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_verdicts_survive_reversing_edges(g, rng):
+    record = check_graph(g)
+    flipped = check_graph(reverse_edges(g, [eid for eid in g.edge_ids if rng.random() < 0.5]))
+    assert flipped.ok, flipped.failing_checks()
+    assert [getattr(flipped, f) for f in VERDICTS] == [getattr(record, f) for f in VERDICTS]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_check_output_ignores_partner_orientation(g):
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, h in enumerate((g, reverse_edges(g, partner_edges(g)))):
+            source, result = Path(tmp) / f"graph{k}.json", Path(tmp) / f"check{k}.json"
+            source.write_text(json.dumps(to_document(h)))
+            assert main(["check", "--format", "structured", "--input", str(source), "--output", str(result)]) == 0
+            outputs.append(result.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_verdicts_survive_subdivision(g, rng):
+    assume(g.edges)
+    record = check_graph(g)
+    other = check_graph(subdivide(g, rng.choice(g.edge_orbits())[0]))
+    assert other.ok, other.failing_checks()
+    assert [getattr(other, f) for f in SUBDIVISION_VERDICTS] == [getattr(record, f) for f in SUBDIVISION_VERDICTS]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

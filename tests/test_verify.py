@@ -13,10 +13,13 @@ from helpers import (
     make_graph,
     reference_isomorphism_key,
     relabel,
+    subdivide,
 )
-from prymcheck.dicing import DEFAULT_BRUTEFORCE_MAX_D
+from prymcheck.dicing import DEFAULT_BRUTEFORCE_MAX_D, is_dicing, star_matrix, star_star_matrix
 from prymcheck.errors import CapExceededError
-from prymcheck.graphs import canonical_json, validate
+from prymcheck.fs import fs_bipartitions, is_fs_degeneration
+from prymcheck.graphs import OrientedEdge, canonical_json, validate
+from prymcheck.homology import analyse
 from prymcheck.verify import (
     GenSpec,
     check_graph,
@@ -202,16 +205,17 @@ def _networkx_encoding(nx, g):
     """Simple graph carrying the involution: a fixed flag per vertex, a
     'partner' edge joining each exchanged pair, and per vertex pair the
     sorted kinds ('bold' or 'exchanged') of the edges joining it."""
+    vmap, emap = g.involution.vertices, g.involution.edges
     kinds = {}
     for a, b in g.vertex_orbits():
         if a != b:
             kinds.setdefault(tuple(sorted((a, b))), []).append("partner")
     for e in g.edges:
-        kind = "bold" if g.is_bold_edge(e.id) else "exchanged"
+        kind = "bold" if emap[e.id] == e.id else "exchanged"
         kinds.setdefault(tuple(sorted((e.tail, e.head))), []).append(kind)
     h = nx.Graph()
     for vid in g.vertex_ids:
-        h.add_node(vid, fixed=g.is_bold_vertex(vid))
+        h.add_node(vid, fixed=vmap[vid] == vid)
     for (x, y), ks in kinds.items():
         h.add_edge(x, y, kinds=tuple(sorted(ks)))
     return h
@@ -335,6 +339,51 @@ class TestCheckGraph:
             assert record.ok and twin.ok
             for field in ("d", "n_e", "c_e", "star", "starstar", "fs2", "fs4", "has_type2"):
                 assert getattr(record, field) == getattr(twin, field), canonical_json(g)
+
+
+def _subdivision_verdicts(g):
+    """d, (*), (**), FS >= 2 and FS >= 4: the verdicts a subdivision keeps."""
+    a = analyse(g)
+    witnesses = fs_bipartitions(a.graph)
+    return (
+        a.lattice.rank,
+        is_dicing(star_matrix(a.lattice, a.classes)).is_dicing,
+        is_dicing(star_star_matrix(a.lattice, a.classes)).is_dicing,
+        is_fs_degeneration(witnesses, 2) is not None,
+        is_fs_degeneration(witnesses, 4) is not None,
+    )
+
+
+class TestSubdivision:
+    """Splitting an edge orbit by a new vertex orbit (a semistable model of
+    the same curve) changes no verdict."""
+
+    def test_subdivide(self, fs4, boldbanana):
+        h = subdivide(fs4, "a1")
+        report = validate(h)
+        assert report.ok and report.oriented
+        assert (report.n_e, report.c_e) == (3, 1)
+        assert h.edge("a2/1") == OrientedEdge("a2/1", "v1", "a1/m'")
+        assert h.involution.edges["a1/2"] == "a2/2"
+        h = subdivide(boldbanana, "b")
+        report = validate(h)
+        assert report.ok and (report.n_e, report.c_e) == (1, 0)
+        assert report.bold_vertices == {"v1", "v2", "b/m"}
+        assert report.bold_edges == {"b/1", "b/2"}
+        assert h.edges[:2] == (OrientedEdge("b/1", "v1", "b/m"), OrientedEdge("b/2", "b/m", "v2"))
+
+    @pytest.mark.parametrize(
+        "spec, count", [(GenSpec(), 1090), (GenSpec(max_edge_orbits=5), 3260)], ids=["default", "orbits5"]
+    )
+    def test_verdicts_survive_subdivision_on_the_grid(self, spec, count):
+        n = 0
+        for g in enumerate_graphs(spec):
+            verdicts = _subdivision_verdicts(g)
+            for rep, _ in g.edge_orbits():
+                h = subdivide(g, rep)
+                assert _subdivision_verdicts(h) == verdicts, (canonical_json(g), rep)
+                n += 1
+        assert n == count
 
 
 class TestRunSuite:

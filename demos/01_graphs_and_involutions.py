@@ -10,9 +10,7 @@ import json
 
 from prymcheck import (
     InvalidGraphError,
-    arithmetic_genus,
     auto_orient,
-    bold_components,
     canonical_json,
     parse_graph,
     validate,
@@ -53,10 +51,6 @@ print("exchanged edge pairs n_e =", report.n_e, " vertex pairs c_e =", report.c_
 print("vertex orbits:", g.vertex_orbits())
 print("edge orbits:", g.edge_orbits())
 
-# Both components have genus 1, so the arithmetic genus of the curve is
-# 1 + 1 + (edges - vertices + 1) = 5.
-print("arithmetic genus:", arithmetic_genus(g))
-
 # Homology work needs orientations compatible with the involution:
 # i(tail -> head) must be i(tail) -> i(head).  auto_orient fixes up the
 # stored orientations (keeping the orbit representative's) and is
@@ -66,8 +60,9 @@ print("oriented:", validate(og).oriented)
 print("canonical encoding:", canonical_json(og)[:60], "...")
 
 # The bold subgraph is what the involution fixes pointwise.  Here it is
-# the two isolated fixed vertices -- two components, no bold edges.
-print("bold components:", [sorted(c) for c in bold_components(og)])
+# the two isolated fixed vertices -- no bold edges.
+bold = validate(og)
+print("bold subgraph:", sorted(bold.bold_vertices), "vertices,", sorted(bold.bold_edges), "edges")
 
 # Fixed edges whose endpoints are *exchanged* would be type-2 nodes;
 # those curves are excluded, and validation rejects the graph outright.

@@ -22,8 +22,8 @@ from prymcheck import (
     classify_edges_by_cycles,
     fundamental_cycles,
     involution_on_chain,
-    rank_formula,
     simple_cycles,
+    validate,
 )
 
 
@@ -59,7 +59,8 @@ print("i(first cycle):", involution_on_chain(g, first))
 # X^- in Hermite normal form.  For the 2-pair banana the rank is
 # d = n_e - c_e = 2 - 0 = 2.
 lattice = anti_invariant_lattice(g)
-print("rank d =", lattice.rank, "(formula says", rank_formula(g), ")")
+report = validate(g)
+print("rank d =", lattice.rank, "(n_e - c_e =", report.n_e - report.c_e, ")")
 print("edge columns:", lattice.edge_ids)
 for row in lattice.rows:
     print("  basis row (doubled):", row)

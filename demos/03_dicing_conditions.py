@@ -18,8 +18,6 @@ from prymcheck import (
     anti_invariant_lattice,
     auto_orient,
     classify_edges,
-    condition_star,
-    condition_star_star,
     deletion_criterion,
     dicing_bruteforce,
     dicing_report,
@@ -46,9 +44,11 @@ def banana(n_pairs):
 
 
 # --- the 2-edge banana: (*) holds, (**) fails --------------------------
-fs2 = banana(1)
-print(dicing_report(condition_star(fs2)))
-print(dicing_report(condition_star_star(fs2)))
+# analyse computes X^- and the edge classes once; both matrices are
+# read off them.
+a = analyse(banana(1))
+print(dicing_report(is_dicing(star_matrix(a.lattice, a.classes))))
+print(dicing_report(is_dicing(star_star_matrix(a.lattice, a.classes))))
 print()
 
 # The (**) witness is a genuine half-lattice point: (2, -2)/2 = (1, -1)
@@ -115,7 +115,8 @@ print()
 # The (**) matrix is diag(G) times the (*) matrix, so its minors are
 # multiples; a clean pass for (**) forces a clean pass for (*).
 for name, g in [("2-banana", banana(1)), ("4-banana", banana(2))]:
-    s = condition_star(g).is_dicing
-    ss = condition_star_star(g).is_dicing
+    a = analyse(g)
+    s = is_dicing(star_matrix(a.lattice, a.classes)).is_dicing
+    ss = is_dicing(star_star_matrix(a.lattice, a.classes)).is_dicing
     print(f"{name}: (*) = {s}, (**) = {ss}")
     assert s or not ss

@@ -13,14 +13,14 @@ from prymcheck import (
     EquivariantGraph,
     Involution,
     OrientedEdge,
-    SubgraphPair,
     Vertex,
-    complete_subgraph_pair,
-    condition_star,
+    analyse,
     fs_bipartitions,
     fs_component_genera,
     fs_report,
+    is_dicing,
     is_fs_degeneration,
+    star_matrix,
 )
 
 
@@ -66,20 +66,12 @@ tailed = banana_with_tail(2, tail=1)
 print(fs_report(fs_bipartitions(tailed)))
 print()
 
-# complete_subgraph_pair grows two given disjoint connected equivariant
-# subgraphs into a full bipartition witness without losing any direct
-# crossing edge -- the combinatorial heart of "every such pair extends".
-pair = SubgraphPair(frozenset({"v1"}), frozenset(), frozenset({"v2"}), frozenset())
-witness = complete_subgraph_pair(tailed, pair)
-print("completed parts:", sorted(witness.part1), "|", sorted(witness.part2))
-print("crossing orbits:", witness.crossing_orbits)
-print()
-
 # The headline equivalence, spot-checked: the 4-banana is an FS example
 # (>= 4 edges), so condition (*) fails; the 2-banana is not, so (*)
 # holds.
 for name, g in [("2-banana", banana_with_tail(1)), ("4-banana", fs4)]:
-    print(f"{name}: (*) holds = {condition_star(g).is_dicing}, "
+    a = analyse(g)
+    print(f"{name}: (*) holds = {is_dicing(star_matrix(a.lattice, a.classes)).is_dicing}, "
           f"FS>=4 = {is_fs_degeneration(fs_bipartitions(g), 4) is not None}")
 print()
 

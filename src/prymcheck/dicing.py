@@ -39,8 +39,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CapExceededError
-from .graphs import EquivariantGraph
-from .homology import Analysis, AntiInvariantLattice, analyse, anti_rows
+from .homology import Analysis, AntiInvariantLattice, anti_rows
 
 __all__ = [
     "STAR",
@@ -51,8 +50,6 @@ __all__ = [
     "star_matrix",
     "star_star_matrix",
     "is_dicing",
-    "condition_star",
-    "condition_star_star",
     "witness_is_sound",
     "dicing_bruteforce",
     "deletion_criterion",
@@ -239,18 +236,6 @@ def is_dicing(m: FunctionalMatrix) -> DicingVerdict:
             f"but linalg.det gives {confirmed}; this is a bug"
         )
     return DicingVerdict(m, _build_witness(m, subset, submatrix, determinant))
-
-
-def condition_star(g: EquivariantGraph) -> DicingVerdict:
-    """Full pipeline for condition (*) on a valid graph."""
-    a = analyse(g)
-    return is_dicing(star_matrix(a.lattice, a.classes))
-
-
-def condition_star_star(g: EquivariantGraph) -> DicingVerdict:
-    """Full pipeline for condition (**) on a valid graph."""
-    a = analyse(g)
-    return is_dicing(star_star_matrix(a.lattice, a.classes))
 
 
 def witness_is_sound(verdict: DicingVerdict) -> bool:

@@ -41,9 +41,7 @@ __all__ = [
     "validate",
     "require_valid",
     "auto_orient",
-    "bold_components",
     "components",
-    "arithmetic_genus",
 ]
 
 
@@ -384,19 +382,3 @@ def auto_orient(g: EquivariantGraph) -> EquivariantGraph:
         rep = g.edge(min(e.id, emap[e.id]))
         edges.append(e if rep is e else OrientedEdge(e.id, vmap[rep.tail], vmap[rep.head]))
     return replace(g, edges=tuple(edges))
-
-
-def bold_components(g: EquivariantGraph) -> tuple[frozenset[str], ...]:
-    """Vertex sets of the connected components of the bold subgraph B
-    (fixed vertices and fixed edges), sorted by smallest vertex id."""
-    report = require_valid(g)
-    return components(report.bold_vertices, [g.edge(eid) for eid in report.bold_edges])
-
-
-def arithmetic_genus(g: EquivariantGraph) -> int:
-    """Sum of vertex genera + #edges - #vertices + 1; requires every genus."""
-    require_valid(g)
-    missing = sorted(v.id for v in g.vertices if v.genus is None)
-    if missing:
-        raise ValueError(f"genus labels missing for vertices: {missing}")
-    return sum(v.genus for v in g.vertices) + len(g.edges) - len(g.vertices) + 1

@@ -52,7 +52,6 @@ __all__ = [
     "simple_cycles",
     "anti_rows",
     "anti_invariant_lattice",
-    "rank_formula",
     "classify_edges",
     "classify_edges_by_cycles",
     "classification_report",
@@ -266,13 +265,6 @@ def anti_invariant_lattice(g: EquivariantGraph) -> AntiInvariantLattice:
     # With no rows a column gcd is math.gcd() = 0.
     gcds = {eid: math.gcd(*(row[col] for row in rows)) for col, eid in enumerate(edge_ids)}
     return AntiInvariantLattice(edge_ids, rows, len(rows), gcds)
-
-
-def rank_formula(g: EquivariantGraph) -> int:
-    """Predicted rank of X^-: (exchanged edge pairs) - (exchanged vertex
-    pairs), straight from the counts of a valid graph."""
-    report = require_valid(g)
-    return report.n_e - report.c_e
 
 
 def classify_edges(g: EquivariantGraph, lattice: AntiInvariantLattice):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -53,12 +54,16 @@ __all__ = [
     "isomorphism_key",
     "check_graph",
     "run_suite",
-    "MAX_DEDUP_VERTICES",
+    "MAX_DEDUP_LABELINGS",
 ]
 
-# Canonical labeling walks f! * m! * 2^m labelings for f fixed vertices and
-# m exchanged pairs: n! when every vertex is fixed.
-MAX_DEDUP_VERTICES = 8
+# Caps the f! * m! * 2^m labelings that canonical labeling walks for f fixed
+# vertices and m exchanged pairs (n! when every vertex is fixed).
+MAX_DEDUP_LABELINGS = math.factorial(8)
+
+
+def _labelings(f: int, m: int) -> int:
+    return math.factorial(f) * math.factorial(m) * 2**m
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,11 @@ class GenSpec:
     pairs, with max_edge_orbits capping the total (None = no cap).  The
     defaults cover every graph with at most 4 vertices and 4 edge orbits.
 
-    Dedup needs canonical labeling, so a spec with dedup that admits more
-    than MAX_DEDUP_VERTICES vertices is refused with CapExceededError;
-    pass dedup=False for larger (duplicate-containing) enumerations.
+    Dedup needs canonical labeling, so a spec with dedup whose largest
+    layout (max_fixed_vertices fixed vertices, max_vertex_pairs pairs)
+    needs more than MAX_DEDUP_LABELINGS labelings is refused with
+    CapExceededError; pass dedup=False for larger (duplicate-containing)
+    enumerations.
     """
 
     max_fixed_vertices: int = 2
@@ -95,11 +102,11 @@ class GenSpec:
                 raise ValueError(f"{name} must be >= 0")
         if self.max_edge_orbits is not None and self.max_edge_orbits < 0:
             raise ValueError("max_edge_orbits must be >= 0 or None")
-        max_vertices = self.max_fixed_vertices + 2 * self.max_vertex_pairs
-        if self.dedup and max_vertices > MAX_DEDUP_VERTICES:
+        labelings = _labelings(self.max_fixed_vertices, self.max_vertex_pairs)
+        if self.dedup and labelings > MAX_DEDUP_LABELINGS:
             raise CapExceededError(
-                f"dedup would need canonical labeling on up to {max_vertices} "
-                f"vertices (cap {MAX_DEDUP_VERTICES}); rerun without dedup"
+                f"dedup would need canonical labeling over up to {labelings} "
+                f"labelings (cap {MAX_DEDUP_LABELINGS}); rerun without dedup"
             )
 
 
@@ -215,18 +222,18 @@ def isomorphism_key(g: EquivariantGraph):
     instead of n!.  The worst case, every vertex fixed, is still n!.
     """
     n = len(g.vertices)
-    if n > MAX_DEDUP_VERTICES:
-        raise CapExceededError(
-            f"canonical labeling walks f! * m! * 2^m labelings (n! when all "
-            f"n vertices are fixed); refusing n = {n} > "
-            f"{MAX_DEDUP_VERTICES} vertices"
-        )
     ids = g.vertex_ids
     index = {vid: k for k, vid in enumerate(ids)}
     emap = g.involution.edges
     vmap = [index[g.involution.vertices[vid]] for vid in ids]
     fixed = [k for k in range(n) if vmap[k] == k]
     pairs = [(k, vmap[k]) for k in range(n) if vmap[k] > k]
+    labelings = _labelings(len(fixed), len(pairs))
+    if labelings > MAX_DEDUP_LABELINGS:
+        raise CapExceededError(
+            f"canonical labeling of {len(fixed)} fixed vertices and {len(pairs)} "
+            f"pairs walks {labelings} labelings (cap {MAX_DEDUP_LABELINGS})"
+        )
     bold_ends = []
     orbit_ends = []
     seen = set()

@@ -8,7 +8,9 @@ import random
 from pathlib import Path
 
 from prymcheck import linalg
+from prymcheck.dicing import is_dicing, star_matrix, star_star_matrix
 from prymcheck.graphs import EquivariantGraph, Involution, OrientedEdge, Vertex, parse_graph
+from prymcheck.homology import analyse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,6 +42,15 @@ def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=()):
         emap[a] = b
         emap[b] = a
     return EquivariantGraph(tuple(vertices), tuple(edges), Involution(vmap, emap))
+
+
+def verdicts(g: EquivariantGraph):
+    """The (*) and (**) DicingVerdicts of a valid graph, as check computes them."""
+    a = analyse(g)
+    return (
+        is_dicing(star_matrix(a.lattice, a.classes)),
+        is_dicing(star_star_matrix(a.lattice, a.classes)),
+    )
 
 
 def layout(n_fixed, n_pairs):

@@ -22,7 +22,7 @@ import pytest
 from helpers import FIXTURES, build_on_layout, load_fixture, partner_edges, reverse_edges
 from prymcheck import fs, graphs, homology, linalg
 from prymcheck.cli import main
-from prymcheck.dicing import condition_star, condition_star_star, is_dicing, star_matrix
+from prymcheck.dicing import is_dicing, star_matrix, star_star_matrix
 from prymcheck.graphs import to_document
 from prymcheck.homology import analyse
 from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
@@ -170,19 +170,20 @@ def test_is_dicing_computes_a_determinant_only_for_a_witness(monkeypatch, fs4):
 
 
 @pytest.mark.parametrize(
-    "condition, orbits, rhs",
+    "matrix, orbits, rhs",
     [
-        (condition_star, [("f0", "f0"), ("f0", "f0"), ("f0", "f1"), ("f0", "f1")], 2),
-        (condition_star_star, [("f0", "f0"), ("f0", "f0"), ("f0", "f0"), ("f0", "f1")], 3),
+        (star_matrix, [("f0", "f0"), ("f0", "f0"), ("f0", "f1"), ("f0", "f1")], 2),
+        (star_star_matrix, [("f0", "f0"), ("f0", "f0"), ("f0", "f0"), ("f0", "f1")], 3),
     ],
     ids=["star", "starstar"],
 )
-def test_witness_solves_all_unit_systems_in_one_elimination(monkeypatch, condition, orbits, rhs):
+def test_witness_solves_all_unit_systems_in_one_elimination(monkeypatch, matrix, orbits, rhs):
     # Two fixed vertices with exchanged loops and edges, as in the
     # max_edge_orbits=5 grid.  The witness sits on unit column rhs >= 2,
     # so solving one unit system at a time would take rhs + 1 eliminations.
     # linalg.det reads its determinant off one linalg.solve call.
     g = build_on_layout(2, 0, [], orbits)
     counts = _count(monkeypatch, ((linalg, "det"), (linalg, "solve")))
-    assert condition(g).witness.rhs == rhs
+    a = analyse(g)
+    assert is_dicing(matrix(a.lattice, a.classes)).witness.rhs == rhs
     assert counts == {"det": 1, "solve": 2}

@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, verdicts
 from prymcheck import cli, fs
 from prymcheck.cli import main
-from prymcheck.dicing import condition_star, condition_star_star
 from prymcheck.fs import MAX_SPLITTINGS, fs_bipartitions, is_fs_degeneration
 from prymcheck.graphs import load_graph
 
@@ -54,8 +53,7 @@ class TestCheck:
             assert code == 0
             payload = json.loads(out)
             g = load_graph(fixture_path(name))
-            star = condition_star(g)
-            starstar = condition_star_star(g)
+            star, starstar = verdicts(g)
             assert payload["schema_version"] == 1
             assert payload["conditions"]["star"]["holds"] == star.is_dicing
             assert payload["conditions"]["starstar"]["holds"] == starstar.is_dicing

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fs_chain, load_fixture, make_graph, reference_first_offending_minor
+from helpers import fs_chain, load_fixture, make_graph, reference_first_offending_minor, verdicts
 from prymcheck import dicing
 from prymcheck.dicing import (
     STAR,
     STARSTAR,
     DicingWitness,
-    condition_star,
-    condition_star_star,
     deletion_criterion,
     dicing_bruteforce,
     dicing_report,
@@ -193,20 +191,21 @@ class TestConditionPipelines:
             "fs4tail": (False, False),
         }
         for name, (star_ok, starstar_ok) in expected.items():
-            g = load_fixture(name)
-            assert condition_star(g).is_dicing is star_ok, name
-            assert condition_star_star(g).is_dicing is starstar_ok, name
+            star, starstar = verdicts(load_fixture(name))
+            assert star.is_dicing is star_ok, name
+            assert starstar.is_dicing is starstar_ok, name
 
     def test_starstar_implies_star(self):
         graphs = [load_fixture(name) for name in ALL_FIXTURES]
         graphs += [fs_chain(1), fs_chain(2), fs_chain(3), parallel_and_path()]
         for g in graphs:
-            if condition_star_star(g).is_dicing:
-                assert condition_star(g).is_dicing
+            star, starstar = verdicts(g)
+            if starstar.is_dicing:
+                assert star.is_dicing
 
     def test_type_2_with_positive_rank_blocks_starstar(self, fs2):
         assert any(cls.type == 2 for cls in analyse(fs2).classes)
-        assert not condition_star_star(fs2).is_dicing
+        assert not verdicts(fs2)[1].is_dicing
 
 
 class TestBruteforceOracle:

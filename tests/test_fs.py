@@ -8,20 +8,13 @@ from prymcheck.errors import CapExceededError
 from prymcheck.fs import (
     MAX_SPLITTINGS,
     FSWitness,
-    SubgraphPair,
-    complete_subgraph_pair,
     fs_bipartitions,
     fs_component_genera,
     fs_report,
     is_fs_degeneration,
 )
-from prymcheck.verify import GenSpec, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
-
-
-def pair_of(v1, v2, e1=(), e2=()):
-    return SubgraphPair(frozenset(v1), frozenset(e1), frozenset(v2), frozenset(e2))
 
 
 def chain_three():
@@ -174,79 +167,6 @@ class TestIsFS:
     def test_min_edges_must_be_even_positive(self, fs2, bad):
         with pytest.raises(ValueError):
             is_fs_degeneration(fs_bipartitions(fs2), bad)
-
-
-class TestCompletion:
-    def test_fs4tail_absorbs_bold_component(self, fs4tail):
-        witness = complete_subgraph_pair(fs4tail, pair_of({"v1"}, {"v2"}))
-        assert witness.part1 == {"v1"}
-        assert witness.part2 == {"v2", "v3"}
-        assert witness.crossing_count == 4
-
-    def test_fs4tail_reversed_sides(self, fs4tail):
-        witness = complete_subgraph_pair(fs4tail, pair_of({"v2"}, {"v1"}))
-        assert witness.part1 == {"v2", "v3"}
-        assert witness.part2 == {"v1"}
-        assert witness.crossing_count == 4
-
-    def test_fs4_identity(self, fs4):
-        witness = complete_subgraph_pair(fs4, pair_of({"v1"}, {"v2"}))
-        assert witness == FSWitness(
-            frozenset({"v1"}), frozenset({"v2"}), (("a1", "a2"), ("b1", "b2")), 4
-        )
-
-    def test_pendant_pair_absorbed_into_part1(self):
-        witness = complete_subgraph_pair(fs6_pendant(), pair_of({"v1"}, {"v2"}), 4)
-        assert witness.part1 == {"v1", "y", "z"}
-        assert witness.part2 == {"v2"}
-        assert witness.crossing_count == 6
-
-    def test_pendant_pair_absorbed_into_part2_when_reversed(self):
-        witness = complete_subgraph_pair(fs6_pendant(), pair_of({"v2"}, {"v1"}), 4)
-        assert witness.part1 == {"v2"}
-        assert witness.part2 == {"v1", "y", "z"}
-        assert witness.crossing_count == 6
-
-    def test_both_attached_component_stays_outside(self):
-        witness = complete_subgraph_pair(parallel_and_path(), pair_of({"v1"}, {"v2"}), 4)
-        assert witness.part1 == {"v1"}
-        assert witness.part2 == {"v2", "y", "z"}
-        assert witness.crossing_count == 6
-        assert witness.crossing_orbits == (("a1", "a2"), ("b1", "b2"), ("p1", "p2"))
-
-    def test_completing_a_listed_witness_returns_it(self):
-        checked = 0
-        for spec in (GenSpec(), GenSpec(max_edge_orbits=5), GenSpec(max_vertex_pairs=2)):
-            for g in enumerate_graphs(spec):
-                for w in fs_bipartitions(g):
-                    induced1 = {e.id for e in g.edges if {e.tail, e.head} <= w.part1}
-                    induced2 = {e.id for e in g.edges if {e.tail, e.head} <= w.part2}
-                    pair = pair_of(w.part1, w.part2, induced1, induced2)
-                    assert complete_subgraph_pair(g, pair, 2) == w
-                    checked += 1
-        assert checked == 1001
-
-    def test_bold_path_rejected(self, boldbanana):
-        with pytest.raises(ValueError, match="bold path"):
-            complete_subgraph_pair(boldbanana, pair_of({"v1"}, {"v2"}), 2)
-
-    def test_too_few_ordinary_edges(self, fs2):
-        with pytest.raises(ValueError, match="only 2 ordinary"):
-            complete_subgraph_pair(fs2, pair_of({"v1"}, {"v2"}), 4)
-
-    def test_malformed_pairs(self, fs4, square, fs4tail):
-        with pytest.raises(ValueError, match="share vertices"):
-            complete_subgraph_pair(fs4, pair_of({"v1"}, {"v1"}))
-        with pytest.raises(ValueError, match="not involution-invariant"):
-            complete_subgraph_pair(square, pair_of({"u1"}, {"u2"}))
-        with pytest.raises(ValueError, match="not connected"):
-            complete_subgraph_pair(fs4tail, pair_of({"v1", "v3"}, {"v2"}))
-        with pytest.raises(ValueError, match="no vertices"):
-            complete_subgraph_pair(fs4, pair_of(set(), {"v2"}))
-        with pytest.raises(ValueError, match="unknown vertices"):
-            complete_subgraph_pair(fs4, pair_of({"nope"}, {"v2"}))
-        with pytest.raises(ValueError, match="leave its vertex set"):
-            complete_subgraph_pair(fs4, pair_of({"v1"}, {"v2"}, e1={"a1"}))
 
 
 class TestComponentGenera:

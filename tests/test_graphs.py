@@ -13,9 +13,7 @@ from prymcheck.graphs import (
     Involution,
     OrientedEdge,
     Vertex,
-    arithmetic_genus,
     auto_orient,
-    bold_components,
     canonical_json,
     components,
     parse_graph,
@@ -231,34 +229,6 @@ class TestAutoOrient:
             ),
         )
         assert relabel(auto_orient(variant), "x") == auto_orient(relabel(variant, "x"))
-
-
-class TestBoldComponents:
-    def test_fs4tail_components(self, fs4tail):
-        assert bold_components(fs4tail) == ({"v1"}, {"v2", "v3"})
-
-    def test_square_empty(self, square):
-        assert bold_components(square) == ()
-
-    def test_boldbanana_single_component(self, boldbanana):
-        assert bold_components(boldbanana) == ({"v1", "v2"},)
-
-
-class TestArithmeticGenus:
-    def test_labeled_fixtures(self, fs2, fs4):
-        assert arithmetic_genus(fs4) == 1 + 1 + 4 - 2 + 1
-        assert arithmetic_genus(fs2) == 2 + 2 + 2 - 2 + 1
-
-    def test_square_all_zero(self, square):
-        labeled = dataclasses.replace(
-            square,
-            vertices=tuple(dataclasses.replace(v, genus=0) for v in square.vertices),
-        )
-        assert arithmetic_genus(labeled) == 1
-
-    def test_missing_labels(self, boldbanana):
-        with pytest.raises(ValueError, match="genus labels missing"):
-            arithmetic_genus(boldbanana)
 
 
 class TestSerialization:

@@ -43,6 +43,21 @@ class TestGenSpec:
     def test_uncapped_orbits_allowed(self):
         assert GenSpec(max_edge_orbits=None).max_edge_orbits is None
 
+    def test_dedup_accepts_every_layout_up_to_eight_vertices(self):
+        for n_fixed in range(9):
+            for n_pairs in range((8 - n_fixed) // 2 + 1):
+                GenSpec(max_fixed_vertices=n_fixed, max_vertex_pairs=n_pairs)
+
+    def test_dedup_accepts_four_pairs(self):
+        # 2! * 4! * 2^4 = 768 labelings on up to 10 vertices.
+        assert GenSpec(max_vertex_pairs=4).dedup
+
+    def test_dedup_refuses_past_the_labeling_cap(self):
+        # 5! * 4! * 2^4 = 46,080 labelings > 8!.
+        with pytest.raises(CapExceededError, match="46080"):
+            GenSpec(max_fixed_vertices=5, max_vertex_pairs=4)
+        assert not GenSpec(max_fixed_vertices=5, max_vertex_pairs=4, dedup=False).dedup
+
 
 class TestEnumerate:
     def test_empty_range(self):
@@ -222,12 +237,15 @@ def _networkx_encoding(nx, g):
 
 
 class TestIsomorphismKeyLarge:
-    """Seven and eight vertices, where the n! reference is too slow for
-    the suite: relabelling invariance, and networkx isomorphism as oracle."""
+    """Seven to ten vertices, where the n! reference is too slow for
+    the suite: relabelling invariance, and networkx isomorphism as oracle.
+    The (2, 4) layout has more than eight vertices but only 768 labelings."""
+
+    LAYOUTS = [*LAYOUTS, (2, 4)]
 
     def test_relabelled_copies_get_equal_keys(self):
         rng = random.Random(11)
-        for n_fixed, n_pairs in LAYOUTS:
+        for n_fixed, n_pairs in self.LAYOUTS:
             for _ in range(3):
                 g = build_on_layout(n_fixed, n_pairs, *_random_orbits(rng, n_fixed, n_pairs))
                 key = isomorphism_key(g)
@@ -238,7 +256,7 @@ class TestIsomorphismKeyLarge:
         nx = pytest.importorskip("networkx")
         rng = random.Random(5)
         outcomes = set()
-        for n_fixed, n_pairs in LAYOUTS:
+        for n_fixed, n_pairs in self.LAYOUTS:
             pool = []
             for _ in range(4):
                 pool += _random_family(rng, n_fixed, n_pairs)

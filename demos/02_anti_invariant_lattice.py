@@ -20,8 +20,6 @@ from prymcheck import (
     classification_report,
     classify_edges,
     classify_edges_by_cycles,
-    fundamental_cycles,
-    involution_on_chain,
     simple_cycles,
     validate,
 )
@@ -45,16 +43,15 @@ def banana(n_pairs):
 
 g = auto_orient(banana(2))
 
-# Fundamental cycles come from a deterministic spanning forest; one
-# chord per cycle.  Doubled units: the cycle a1-a2 prints as +-2.
-basis = fundamental_cycles(g)
-print("spanning tree edges:", sorted(basis.tree_edges))
-for cycle in basis.chains:
-    print("  fundamental cycle:", cycle)
-
-# The involution acts on cycles by pushing edges to their partners.
-first = basis.chains[0]
-print("i(first cycle):", involution_on_chain(g, first))
+# A cycle is a plain {edge id: coefficient} dict in doubled units: the
+# cycle a1-a2 prints as +-2.  The involution acts on a cycle by moving
+# each coefficient to the partner edge.
+cycles = simple_cycles(g)
+for cycle in cycles:
+    print("  simple cycle:", cycle)
+first = cycles[0]
+emap = g.involution.edges
+print("i(first cycle):", dict(sorted((emap[eid], v) for eid, v in first.items())))
 
 # X^- in Hermite normal form.  For the 2-pair banana the rank is
 # d = n_e - c_e = 2 - 0 = 2.
@@ -73,7 +70,6 @@ for cls in classify_edges(g, lattice):
 
 # An independent route to the same answer: walk all simple cycles and
 # look at the doubled coefficients at the edge and its partner.
-print("simple cycles:", list(simple_cycles(g)))
 by_cycles = classify_edges_by_cycles(g)
 for eid in ("a1", "b1"):
     print(f"  cycle-based type of {eid}:", by_cycles[eid])

@@ -15,15 +15,10 @@ from prymcheck import (
     OrientedEdge,
     Vertex,
     analyse,
-    anti_invariant_lattice,
-    auto_orient,
-    classify_edges,
+    decide,
     deletion_criterion,
     dicing_bruteforce,
     dicing_report,
-    is_dicing,
-    star_matrix,
-    star_star_matrix,
     witness_is_sound,
 )
 
@@ -44,27 +39,24 @@ def banana(n_pairs):
 
 
 # --- the 2-edge banana: (*) holds, (**) fails --------------------------
-# analyse computes X^- and the edge classes once; both matrices are
-# read off them.
-a = analyse(banana(1))
-print(dicing_report(is_dicing(star_matrix(a.lattice, a.classes))))
-print(dicing_report(is_dicing(star_star_matrix(a.lattice, a.classes))))
+# decide analyses the graph once (X^- and the edge classes) and reads
+# both matrices off that analysis.
+decision = decide(banana(1))
+print(dicing_report(decision.star))
+print(dicing_report(decision.starstar))
 print()
 
 # The (**) witness is a genuine half-lattice point: (2, -2)/2 = (1, -1)
 # is the anti-invariant generator itself, which is NOT in 2 X^-.
 
 # --- the 4-edge banana: both conditions fail ---------------------------
-fs4 = auto_orient(banana(2))
-lattice = anti_invariant_lattice(fs4)
-classes = classify_edges(fs4, lattice)
-
-m = star_matrix(lattice, classes)
+fs4 = decide(banana(2))
+verdict = fs4.star
+m = verdict.matrix
 print("STAR rows of the 4-edge banana:")
 for rep, row in m.rows:
     print("  ", rep, row)
 # rows (1,0) and (1,2): the 2x2 minor is 2, so no dicing.
-verdict = is_dicing(m)
 print(dicing_report(verdict))
 
 # Failing verdicts always carry a witness; witness_is_sound re-verifies
@@ -80,7 +72,7 @@ print()
 # Choosing d orbits of type != 1 whose STAR rows are independent is the
 # same as choosing d orbits whose deletion kills every anti-invariant
 # cycle.  On the 4-edge banana, d = 2 and the only 2-subset works:
-print("delete {a, b}:", deletion_criterion(analyse(fs4), ["a1", "b1"]))
+print("delete {a, b}:", deletion_criterion(fs4.analysis, ["a1", "b1"]))
 
 # A graph where dependence shows up: two parallel exchanged pairs plus
 # an exchanged path through a swapped vertex pair.  The path orbits p, q
@@ -115,8 +107,7 @@ print()
 # The (**) matrix is diag(G) times the (*) matrix, so its minors are
 # multiples; a clean pass for (**) forces a clean pass for (*).
 for name, g in [("2-banana", banana(1)), ("4-banana", banana(2))]:
-    a = analyse(g)
-    s = is_dicing(star_matrix(a.lattice, a.classes)).is_dicing
-    ss = is_dicing(star_star_matrix(a.lattice, a.classes)).is_dicing
+    decision = decide(g)
+    s, ss = decision.star.is_dicing, decision.starstar.is_dicing
     print(f"{name}: (*) = {s}, (**) = {ss}")
     assert s or not ss

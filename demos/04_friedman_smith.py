@@ -14,13 +14,11 @@ from prymcheck import (
     Involution,
     OrientedEdge,
     Vertex,
-    analyse,
+    decide,
     fs_bipartitions,
     fs_component_genera,
     fs_report,
-    is_dicing,
     is_fs_degeneration,
-    star_matrix,
 )
 
 
@@ -68,11 +66,11 @@ print()
 
 # The headline equivalence, spot-checked: the 4-banana is an FS example
 # (>= 4 edges), so condition (*) fails; the 2-banana is not, so (*)
-# holds.
+# holds.  decide reaches both answers from one analysis of the graph.
 for name, g in [("2-banana", banana_with_tail(1)), ("4-banana", fs4)]:
-    a = analyse(g)
-    print(f"{name}: (*) holds = {is_dicing(star_matrix(a.lattice, a.classes)).is_dicing}, "
-          f"FS>=4 = {is_fs_degeneration(fs_bipartitions(g), 4) is not None}")
+    decision = decide(g)
+    print(f"{name}: (*) holds = {decision.star.is_dicing}, "
+          f"FS>=4 = {is_fs_degeneration(decision.fs, 4) is not None}")
 print()
 
 # For an actual Friedman-Smith curve of total genus g with 2n nodes the

@@ -28,13 +28,9 @@ import json
 import sys
 from dataclasses import fields
 
-from .dicing import (
-    DicingVerdict,
-    dicing_report,
-    is_dicing,
-    star_matrix,
-    star_star_matrix,
-)
+from .dicing import DicingVerdict, dicing_report
+# Unused here; kept bound because perfbench's tracer self-test reads cli.is_dicing.
+from .dicing import is_dicing  # noqa: F401
 from .errors import CapExceededError, InvalidGraphError
 from .fs import (
     FSWitness,
@@ -45,7 +41,7 @@ from .fs import (
 )
 from .graphs import load_graph
 from .homology import analyse, classification_report
-from .verify import GenSpec, run_suite
+from .verify import GenSpec, decide, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -116,17 +112,13 @@ def _classes_obj(a) -> list[dict]:
 
 
 def cmd_check(args) -> int:
-    a = analyse(load_graph(args.input))
+    decision = decide(load_graph(args.input))
+    a, witnesses = decision.analysis, decision.fs
     og, report = a.graph, a.report
-    star_verdict = is_dicing(star_matrix(a.lattice, a.classes))
-    starstar_verdict = is_dicing(star_star_matrix(a.lattice, a.classes))
-    indeterminacy = not star_verdict.is_dicing
     # The headline comes from (*), so a capped FS search is skipped, not fatal.
-    try:
-        witnesses = fs_bipartitions(og)
-    except CapExceededError as exc:
-        fs_obj = {"skipped": True, "reason": str(exc)}
-        fs_text = f"friedman-smith search skipped: {exc}"
+    if isinstance(witnesses, CapExceededError):
+        fs_obj = {"skipped": True, "reason": str(witnesses)}
+        fs_text = f"friedman-smith search skipped: {witnesses}"
     else:
         fs_obj = {
             "min2": _fs_obj(is_fs_degeneration(witnesses, 2)),
@@ -143,20 +135,20 @@ def cmd_check(args) -> int:
         "d": a.lattice.rank,
         "edge_classes": _classes_obj(a),
         "conditions": {
-            "star": _verdict_obj(star_verdict),
-            "starstar": _verdict_obj(starstar_verdict),
+            "star": _verdict_obj(decision.star),
+            "starstar": _verdict_obj(decision.starstar),
         },
         "fs": fs_obj,
-        "indeterminacy": indeterminacy,
+        "indeterminacy": decision.indeterminate,
     }
     lines = [
         f"valid: yes ({len(og.vertices)} vertices, {len(og.edges)} edges; "
         f"bold: {len(report.bold_vertices)} vertices, {len(report.bold_edges)} edges)",
         classification_report(a),
-        dicing_report(star_verdict),
-        dicing_report(starstar_verdict),
+        dicing_report(decision.star),
+        dicing_report(decision.starstar),
         fs_text,
-        f"indeterminacy: {'YES' if indeterminacy else 'NO'}",
+        f"indeterminacy: {'YES' if decision.indeterminate else 'NO'}",
     ]
     return _answer(args.format, args.output, payload, lines)
 

@@ -27,13 +27,15 @@ subset in lexicographic order, its determinant (confirmed once by
 point is not a lattice point, that point in doubled edge coordinates, and
 the non-integral basis coefficient.  One fraction-free elimination
 (`linalg.solve`) solves all d unit systems at once, as integer numerators
-over the determinant; Fractions appear only in the witness point, the
-defect text and `witness_is_sound`, which checks the point independently.
+over the determinant; Fractions appear only in the witness point and
+the defect text.  `witness_is_sound` checks the point independently, by
+integer back-substitution against the lattice basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,25 +245,39 @@ def witness_is_sound(verdict: DicingVerdict) -> bool:
 
     The witness point must give the selected unit value under the selected
     functionals (read off the point's doubled coordinates directly) and must
-    lie in the rational span but not in the tagged lattice.
+    lie in the rational span but not in the tagged lattice.  Both tests
+    run in integers: the point times its common denominator D and times
+    the product P of the echelon pivots is back-substituted against the
+    scaled HNF rows, so every basis coefficient comes out as an exact
+    integer over D * P, and the point is a lattice point exactly when D * P
+    divides each of them.  No elimination is shared with the scan.
     """
     m, w = verdict.matrix, verdict.witness
     if w is None:
         return False
     lattice = m.lattice
+    denominator = math.lcm(*(x.denominator for x in w.point))
+    point = [int(x * denominator) for x in w.point]
     for pos, rep in enumerate(w.row_subset):
-        z = Fraction(w.point[lattice.edge_ids.index(rep)], 2)
-        if m.lattice_tag == STAR:
-            value = Fraction(2, lattice.edge_gcds[rep]) * z
-        else:
-            value = z
-        if value != (1 if pos == w.rhs else 0):
+        # The functional of rep at the true point: doubled coordinate / G
+        # for (*), doubled coordinate / 2 for (**).
+        divisor = lattice.edge_gcds[rep] if m.lattice_tag == STAR else 2
+        unit = 1 if pos == w.rhs else 0
+        if point[lattice.edge_ids.index(rep)] != unit * divisor * denominator:
             return False
-    scaled = [[m.scale * x for x in row] for row in lattice.rows]
-    coords = linalg.span_coords(scaled, list(w.point))
-    if coords is None:
-        return False
-    return not all(c.denominator == 1 for c in coords)
+    rows = [[m.scale * x for x in row] for row in lattice.rows]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    pivot_product = math.prod(row[p] for row, p in zip(rows, pivots))
+    scale = denominator * pivot_product
+    rem = [x * pivot_product for x in point]
+    integral = True
+    for row, p in zip(rows, pivots):
+        # rem[p] is the pivot times scale times a basis coefficient.
+        coeff = rem[p] // row[p]
+        integral = integral and coeff % scale == 0
+        if coeff:
+            rem = [x - coeff * y for x, y in zip(rem, row)]
+    return not any(rem) and not integral
 
 
 def dicing_bruteforce(m: FunctionalMatrix) -> bool:

@@ -42,13 +42,10 @@ from .graphs import (
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
-    "CycleBasis",
     "AntiInvariantLattice",
     "EdgeClass",
     "Analysis",
     "analyse",
-    "fundamental_cycles",
-    "involution_on_chain",
     "simple_cycles",
     "anti_rows",
     "anti_invariant_lattice",
@@ -58,15 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_CYCLE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental cycles of a deterministic spanning forest; one chain per
-    chord, with stored coefficient +2 (true +1) on the chord."""
-
-    chains: tuple[dict[str, int], ...]
-    tree_edges: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -163,26 +151,6 @@ def _cycle_data(vertex_ids, edges):
                 coords[eid] = -2 * sign
         cycles.append(dict(sorted(coords.items())))
     return cycles, tree
-
-
-def fundamental_cycles(g: EquivariantGraph) -> CycleBasis:
-    """Cycle space basis from the deterministic spanning tree.
-
-    Requires a valid graph; chains read the edges as stored.  For a
-    connected graph the basis has #edges - #vertices + 1 chains.
-    """
-    require_valid(g)
-    cycles, tree = _cycle_data(g.vertex_ids, g.edges)
-    return CycleBasis(tuple(cycles), frozenset(tree))
-
-
-def involution_on_chain(g: EquivariantGraph, chain: dict[str, int]) -> dict[str, int]:
-    """Push a cycle dict forward along the involution: the coordinate of
-    the image at edge i(j) equals the coordinate of the input at edge j.
-    Requires a valid graph with normalized orientation."""
-    _require_oriented(g)
-    emap = g.involution.edges
-    return dict(sorted((emap[k], v) for k, v in chain.items()))
 
 
 def simple_cycles(g: EquivariantGraph):

@@ -1,15 +1,13 @@
 """Exact integer and rational linear algebra on plain lists.
 
-Row vectors are lists of ints; no floats anywhere.  `solve` eliminates
-fraction-free, so rational solutions come back as integer numerators
-over the determinant; only `span_coords` returns Fractions.  Everything
-here is small and dense: the graphs this package handles have a handful
-of edges, so no attempt is made at sparsity or asymptotic cleverness.
+Row vectors are lists of ints; no floats and no Fractions anywhere.
+`solve` eliminates fraction-free, so rational solutions come back as
+integer numerators over the determinant.  Everything here is small and
+dense: the graphs this package handles have a handful of edges, so no
+attempt is made at sparsity or asymptotic cleverness.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf_rows(rows):
@@ -84,28 +82,3 @@ def solve(m, right):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
-def span_coords(echelon_rows, vec):
-    """Coordinates of vec in terms of echelon rows (pivot columns strictly
-    increasing), as Fractions; None if vec is outside the rational span."""
-    rem = [Fraction(x) for x in vec]
-    coords = []
-    for row in echelon_rows:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            coords.append(Fraction(0))
-            continue
-        c = rem[p] / row[p]
-        coords.append(c)
-        if c:
-            rem = [x - c * y for x, y in zip(rem, row)]
-    if any(rem):
-        return None
-    return coords
-
-
-def in_lattice(echelon_rows, vec):
-    """Whether vec lies in the integer row span of an echelon basis."""
-    coords = span_coords(echelon_rows, vec)
-    return coords is not None and all(c.denominator == 1 for c in coords)

@@ -1,5 +1,9 @@
 """Exhaustive cross-checking of the dicing criteria on small graphs.
 
+`decide` is the one place that reaches a decision on a graph: analyse,
+then (*), then (**), then the Friedman-Smith listing.  The command line
+renders a Decision, and check_graph reads one and adds its oracles.
+
 Enumerates every connected equivariant multigraph within user-chosen
 bounds (optionally one representative per equivariant-isomorphism class)
 and runs the whole pipeline on each: rank formula, edge classification by
@@ -26,6 +30,7 @@ from typing import Iterator
 
 from . import dicing, linalg
 from .dicing import (
+    DicingVerdict,
     deletion_criterion,
     dicing_bruteforce,
     is_dicing,
@@ -34,7 +39,7 @@ from .dicing import (
     witness_is_sound,
 )
 from .errors import CapExceededError
-from .fs import fs_bipartitions, is_fs_degeneration
+from .fs import FSWitness, fs_bipartitions, is_fs_degeneration
 from .graphs import (
     EquivariantGraph,
     Involution,
@@ -44,9 +49,11 @@ from .graphs import (
     components,
     validate,
 )
-from .homology import analyse, classify_edges_by_cycles
+from .homology import Analysis, analyse, classify_edges_by_cycles
 
 __all__ = [
+    "Decision",
+    "decide",
     "GenSpec",
     "ConsistencyRecord",
     "SuiteReport",
@@ -64,6 +71,38 @@ MAX_DEDUP_LABELINGS = math.factorial(8)
 
 def _labelings(f: int, m: int) -> int:
     return math.factorial(f) * math.factorial(m) * 2**m
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The decision on one graph: its analysis, the (*) and (**) verdicts
+    and the Friedman-Smith listing.  A search past fs.DEFAULT_ORBIT_CAP
+    leaves its CapExceededError in fs instead, since the verdicts do not
+    need the listing."""
+
+    analysis: Analysis
+    star: DicingVerdict
+    starstar: DicingVerdict
+    fs: tuple[FSWitness, ...] | CapExceededError
+
+    @property
+    def indeterminate(self) -> bool:
+        """The curve lies in the indeterminacy locus: (*) fails."""
+        return not self.star.is_dicing
+
+
+def decide(g: EquivariantGraph) -> Decision:
+    """Analyse g, decide (*) and (**), and list its Friedman-Smith
+    witnesses.  Raises InvalidGraphError when g is invalid; a capped
+    Friedman-Smith search is kept in the Decision, not raised."""
+    a = analyse(g)
+    star = is_dicing(star_matrix(a.lattice, a.classes))
+    starstar = is_dicing(star_star_matrix(a.lattice, a.classes))
+    try:
+        witnesses = fs_bipartitions(a.graph)
+    except CapExceededError as exc:
+        witnesses = exc
+    return Decision(a, star, starstar, witnesses)
 
 
 @dataclass(frozen=True)
@@ -326,20 +365,23 @@ def enumerate_graphs(spec: GenSpec) -> Iterator[EquivariantGraph]:
 def check_graph(g: EquivariantGraph) -> ConsistencyRecord:
     """Run the whole pipeline on one valid graph and record every check.
 
-    A failing check is recorded, never raised.  The oracle is consulted
-    only up to dicing.DEFAULT_BRUTEFORCE_MAX_D.
+    A failing check is recorded, never raised; a Friedman-Smith search
+    past its cap raises CapExceededError, since both theorems need it.
+    The oracle is consulted only up to dicing.DEFAULT_BRUTEFORCE_MAX_D.
     """
-    a = analyse(g)
+    decision = decide(g)
+    witnesses = decision.fs
+    if isinstance(witnesses, CapExceededError):
+        raise witnesses
+    a = decision.analysis
     og, report, lattice, classes = a.graph, a.report, a.lattice, a.classes
     d = lattice.rank
     has_type2 = any(c.type == 2 for c in classes)
 
-    star_verdict = is_dicing(star_matrix(lattice, classes))
-    starstar_verdict = is_dicing(star_star_matrix(lattice, classes))
+    star_verdict, starstar_verdict = decision.star, decision.starstar
     star = star_verdict.is_dicing
     starstar = starstar_verdict.is_dicing
 
-    witnesses = fs_bipartitions(og)
     fs2 = is_fs_degeneration(witnesses, 2) is not None
     fs4 = is_fs_degeneration(witnesses, 4) is not None
     by_cycles = classify_edges_by_cycles(og)

@@ -15,8 +15,8 @@ from prymcheck import verify
 @pytest.fixture
 def doubled_starstar(monkeypatch):
     """Harness self-test fault: every row of the (**) matrix that
-    check_graph builds is doubled, which must produce recorded theorem2
-    failures on suitable graphs."""
+    verify.decide builds (for check_graph, among others) is doubled,
+    which must produce recorded theorem2 failures on suitable graphs."""
     original = verify.star_star_matrix
 
     def doubled(lattice, classes):

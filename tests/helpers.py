@@ -5,12 +5,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
-from prymcheck import linalg
-from prymcheck.dicing import is_dicing, star_matrix, star_star_matrix
+from prymcheck import homology, linalg
 from prymcheck.graphs import EquivariantGraph, Involution, OrientedEdge, Vertex, parse_graph
-from prymcheck.homology import analyse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,13 +43,39 @@ def make_graph(vertex_spec, edge_spec, vswaps=(), eswaps=()):
     return EquivariantGraph(tuple(vertices), tuple(edges), Involution(vmap, emap))
 
 
-def verdicts(g: EquivariantGraph):
-    """The (*) and (**) DicingVerdicts of a valid graph, as check computes them."""
-    a = analyse(g)
-    return (
-        is_dicing(star_matrix(a.lattice, a.classes)),
-        is_dicing(star_star_matrix(a.lattice, a.classes)),
-    )
+def fundamental_cycles(g: EquivariantGraph):
+    """The fundamental cycles of the spanning forest that X^- is built
+    from, one cycle dict per chord (stored coefficient +2 on the chord),
+    and the forest's edges.  Reads the edges as stored."""
+    cycles, tree = homology._cycle_data(g.vertex_ids, g.edges)
+    return tuple(cycles), frozenset(tree)
+
+
+def involution_on_chain(g: EquivariantGraph, chain):
+    """The image of a cycle dict under the involution of a compatibly
+    stored graph: its coordinate at edge i(j) is chain's at j."""
+    emap = g.involution.edges
+    return dict(sorted((emap[k], v) for k, v in chain.items()))
+
+
+def span_coords(echelon_rows, vec):
+    """Test oracle: the coordinates of vec over echelon rows (pivot
+    columns strictly increasing), as Fractions; None if vec is outside
+    their rational span."""
+    rem = [Fraction(x) for x in vec]
+    coords = []
+    for row in echelon_rows:
+        p = next(j for j, x in enumerate(row) if x)
+        c = rem[p] / row[p]
+        coords.append(c)
+        rem = [x - c * y for x, y in zip(rem, row)]
+    return None if any(rem) else coords
+
+
+def in_lattice(echelon_rows, vec):
+    """Test oracle: whether vec lies in the integer span of echelon rows."""
+    coords = span_coords(echelon_rows, vec)
+    return coords is not None and all(c.denominator == 1 for c in coords)
 
 
 def layout(n_fixed, n_pairs):

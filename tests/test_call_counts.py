@@ -1,5 +1,7 @@
-"""The analysis runs once per graph: `check` and `verify.check_graph` scan
-the Friedman-Smith bipartitions once, build the lattice X^- once and list
+"""The analysis runs once per graph: `verify.decide` builds the lattice
+X^- once and runs both minor scans and the Friedman-Smith scan once each,
+and `check` and `verify.check_graph` scan the Friedman-Smith
+bipartitions once, build the lattice X^- once and list
 the simple cycles at most once, whatever they report, and `check_graph`
 computes an HNF only for the lattice and the two functional matrices.
 `enumerate_graphs` validates only the connected candidates it emits, and
@@ -20,12 +22,12 @@ from collections import Counter
 import pytest
 
 from helpers import FIXTURES, build_on_layout, load_fixture, partner_edges, reverse_edges
-from prymcheck import fs, graphs, homology, linalg
+from prymcheck import dicing, fs, graphs, homology, linalg
 from prymcheck.cli import main
 from prymcheck.dicing import is_dicing, star_matrix, star_star_matrix
 from prymcheck.graphs import to_document
 from prymcheck.homology import analyse
-from prymcheck.verify import GenSpec, check_graph, enumerate_graphs
+from prymcheck.verify import GenSpec, check_graph, decide, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 COUNTED = ((fs, "fs_bipartitions"), (homology, "simple_cycles"), (homology, "anti_invariant_lattice"))
@@ -76,6 +78,14 @@ def test_check_analyses_once(calls, reports, capsys, name, fmt):
     assert calls["fs_bipartitions"] == 1
     assert calls["anti_invariant_lattice"] == 1
     assert reports["ValidationReport"] == 1
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_decide_runs_the_chain_once(calls, monkeypatch, name):
+    scans = _count(monkeypatch, ((dicing, "is_dicing"),))
+    decide(load_fixture(name))
+    assert calls == {"fs_bipartitions": 1, "anti_invariant_lattice": 1}
+    assert scans == {"is_dicing": 2}
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

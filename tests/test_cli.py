@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES, verdicts
+from helpers import FIXTURES
 from prymcheck import cli, fs
 from prymcheck.cli import main
 from prymcheck.fs import MAX_SPLITTINGS, fs_bipartitions, is_fs_degeneration
 from prymcheck.graphs import load_graph
+from prymcheck.verify import decide
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 
@@ -53,12 +54,12 @@ class TestCheck:
             assert code == 0
             payload = json.loads(out)
             g = load_graph(fixture_path(name))
-            star, starstar = verdicts(g)
+            decision = decide(g)
             assert payload["schema_version"] == 1
-            assert payload["conditions"]["star"]["holds"] == star.is_dicing
-            assert payload["conditions"]["starstar"]["holds"] == starstar.is_dicing
-            assert payload["indeterminacy"] == (not star.is_dicing)
-            assert payload["d"] == star.matrix.lattice.rank
+            assert payload["conditions"]["star"]["holds"] == decision.star.is_dicing
+            assert payload["conditions"]["starstar"]["holds"] == decision.starstar.is_dicing
+            assert payload["indeterminacy"] == decision.indeterminate
+            assert payload["d"] == decision.star.matrix.lattice.rank
             assert (payload["fs"]["min4"] is not None) == (
                 is_fs_degeneration(fs_bipartitions(g), 4) is not None
             )

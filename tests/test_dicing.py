@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from helpers import fs_chain, load_fixture, make_graph, reference_first_offending_minor, verdicts
+from helpers import fs_chain, load_fixture, make_graph, reference_first_offending_minor, span_coords
 from prymcheck import dicing
 from prymcheck.dicing import (
     STAR,
@@ -21,7 +22,7 @@ from prymcheck.dicing import (
 from prymcheck.errors import CapExceededError
 from prymcheck.graphs import auto_orient
 from prymcheck.homology import analyse, anti_invariant_lattice, classify_edges
-from prymcheck.verify import GenSpec, enumerate_graphs
+from prymcheck.verify import GenSpec, decide, enumerate_graphs
 
 ALL_FIXTURES = ["fs2", "fs4", "boldbanana", "square", "fs4tail"]
 
@@ -169,6 +170,44 @@ class TestIsDicing:
                 failing += 1
         assert failing > 100
 
+    def test_soundness_matches_the_fraction_oracle(self):
+        # On every failing verdict of the default grid the integer check
+        # agrees with rational back-substitution.  With no selected rows
+        # the unit-value test is vacuous, so witness_is_sound is the
+        # membership test alone; it is tried on the witness point, the
+        # point plus a basis row, a lattice point, a half-lattice point
+        # and a point off the span.
+        def reference(verdict):
+            m, w = verdict.matrix, verdict.witness
+            scaled = [[m.scale * x for x in row] for row in m.lattice.rows]
+            coords = span_coords(scaled, list(w.point))
+            return coords is not None and any(c.denominator != 1 for c in coords)
+
+        checked = 0
+        for g in enumerate_graphs(GenSpec()):
+            a = analyse(g)
+            for m in (star_matrix(a.lattice, a.classes), star_star_matrix(a.lattice, a.classes)):
+                verdict = is_dicing(m)
+                if verdict.is_dicing:
+                    continue
+                assert witness_is_sound(verdict) and reference(verdict)
+                point = verdict.witness.point
+                row = [m.scale * x for x in m.lattice.rows[-1]]
+                for moved in (
+                    point,
+                    [x + y for x, y in zip(point, row)],
+                    row,
+                    [Fraction(y, 2) for y in row],
+                    [x + (k == 0) for k, x in enumerate(point)],
+                ):
+                    w = dataclasses.replace(
+                        verdict.witness, row_subset=(), point=tuple(Fraction(x) for x in moved)
+                    )
+                    membership = dataclasses.replace(verdict, witness=w)
+                    assert witness_is_sound(membership) == reference(membership), (m.rows, moved)
+                checked += 1
+        assert checked > 50
+
     def test_soundness_rejects_tampered_witness(self, fs4):
         star, _ = matrices(fs4)
         verdict = is_dicing(star)
@@ -191,21 +230,21 @@ class TestConditionPipelines:
             "fs4tail": (False, False),
         }
         for name, (star_ok, starstar_ok) in expected.items():
-            star, starstar = verdicts(load_fixture(name))
-            assert star.is_dicing is star_ok, name
-            assert starstar.is_dicing is starstar_ok, name
+            decision = decide(load_fixture(name))
+            assert decision.star.is_dicing is star_ok, name
+            assert decision.starstar.is_dicing is starstar_ok, name
 
     def test_starstar_implies_star(self):
         graphs = [load_fixture(name) for name in ALL_FIXTURES]
         graphs += [fs_chain(1), fs_chain(2), fs_chain(3), parallel_and_path()]
         for g in graphs:
-            star, starstar = verdicts(g)
-            if starstar.is_dicing:
-                assert star.is_dicing
+            decision = decide(g)
+            if decision.starstar.is_dicing:
+                assert decision.star.is_dicing
 
     def test_type_2_with_positive_rank_blocks_starstar(self, fs2):
         assert any(cls.type == 2 for cls in analyse(fs2).classes)
-        assert not verdicts(fs2)[1].is_dicing
+        assert not decide(fs2).starstar.is_dicing
 
 
 class TestBruteforceOracle:

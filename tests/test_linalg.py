@@ -3,15 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from helpers import assert_solves, leibniz_det
-from prymcheck.linalg import (
-    det,
-    hnf_rows,
-    in_lattice,
-    rank,
-    solve,
-    span_coords,
-)
+from helpers import assert_solves, in_lattice, leibniz_det, span_coords
+from prymcheck.linalg import det, hnf_rows, rank, solve
 
 
 def random_matrix(rng, nrows, ncols, lo=-6, hi=6):

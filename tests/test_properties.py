@@ -9,13 +9,17 @@ edges are stored the other way.  On random integer
 matrices with duplicate and dependent rows, which the grids never
 produce, `is_dicing` finds the minor the reference scan finds, and
 `linalg.solve` agrees with the Leibniz determinant on singular and
-nonsingular square systems.  Examples are derandomized, so a run is
-reproducible."""
+nonsingular square systems.  Any mutation of a fixture document gets
+`check`, `classify` and `fs` to exit 0, 2 or 3, never a traceback.
+Examples are derandomized, so a run is reproducible."""
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
+    FIXTURES,
     assert_solves,
     build_on_layout,
     layout,
@@ -202,3 +207,77 @@ def test_solve_matches_leibniz(system):
     m, right = system
     assert_solves(m, right)
     assert linalg.det(m) == leibniz_det(m)
+
+
+JUNK = st.sampled_from([None, True, -1, 0, 2.5, "", "zz", [], {}, [None], {"id": None}])
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value below node, node itself excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _dump(node, repeats):
+    """JSON text of node, where each (dict, key, value) in repeats writes
+    key once more, with value, after the dict's own entries."""
+    if isinstance(node, dict):
+        items = [*node.items(), *((k, v) for d, k, v in repeats if d is node)]
+        return "{" + ",".join(f"{json.dumps(k)}:{_dump(v, repeats)}" for k, v in items) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(_dump(v, repeats) for v in node) + "]"
+    return json.dumps(node)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The text of a fixture document after one to four mutations: a value
+    replaced by junk, a key or an entry deleted or duplicated, or two
+    string values (ids, mostly) swapped."""
+    name = draw(st.sampled_from(sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "cli_golden")))
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    repeats = []
+    for _ in range(draw(st.integers(1, 4))):
+        paths = [path for path, _ in _nodes(doc)]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        op = draw(st.sampled_from(["junk", "delete", "duplicate", "swap"]))
+        if op == "junk":
+            parent[key] = draw(JUNK)
+        elif op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "duplicate":
+            repeats.append((parent, key, draw(st.one_of(JUNK, st.just(parent[key])))))
+        else:
+            strings = [p for p, v in _nodes(doc) if isinstance(v, str)]
+            if strings:
+                a, b = draw(st.sampled_from(strings)), draw(st.sampled_from(strings))
+                pa, pb = _at(doc, a[:-1]), _at(doc, b[:-1])
+                pa[a[-1]], pb[b[-1]] = pb[b[-1]], pa[a[-1]]
+    return _dump(doc, repeats)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_exit_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "graph.json"
+        source.write_text(text)
+        for command in ("check", "classify", "fs"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--input", str(source)])
+            assert code in (0, 2, 3), (command, code, text)
+            assert "Traceback" not in err.getvalue()

@@ -15,14 +15,15 @@ from helpers import (
     relabel,
     subdivide,
 )
-from prymcheck.dicing import DEFAULT_BRUTEFORCE_MAX_D, is_dicing, star_matrix, star_star_matrix
+from prymcheck import fs
+from prymcheck.dicing import DEFAULT_BRUTEFORCE_MAX_D
 from prymcheck.errors import CapExceededError
-from prymcheck.fs import fs_bipartitions, is_fs_degeneration
+from prymcheck.fs import is_fs_degeneration
 from prymcheck.graphs import OrientedEdge, canonical_json, validate
-from prymcheck.homology import analyse
 from prymcheck.verify import (
     GenSpec,
     check_graph,
+    decide,
     enumerate_graphs,
     isomorphism_key,
     run_suite,
@@ -289,6 +290,24 @@ class TestCheckGraphLarge:
                 assert record.ok, (canonical_json(g), record.failing_checks())
 
 
+class TestDecide:
+    @pytest.mark.parametrize(
+        "name, indeterminate",
+        [("fs2", False), ("fs4", True), ("boldbanana", False), ("square", False), ("fs4tail", True)],
+    )
+    def test_indeterminate_exactly_when_star_fails(self, name, indeterminate):
+        decision = decide(load_fixture(name))
+        assert decision.indeterminate == (not decision.star.is_dicing) == indeterminate
+
+    def test_keeps_a_capped_search_that_check_graph_raises(self, fs4, monkeypatch):
+        monkeypatch.setattr(fs, "DEFAULT_ORBIT_CAP", 1)
+        decision = decide(fs4)
+        assert isinstance(decision.fs, CapExceededError)
+        assert decision.indeterminate
+        with pytest.raises(CapExceededError):
+            check_graph(fs4)
+
+
 class TestCheckGraph:
     def test_fs4(self, fs4):
         record = check_graph(fs4)
@@ -361,14 +380,13 @@ class TestCheckGraph:
 
 def _subdivision_verdicts(g):
     """d, (*), (**), FS >= 2 and FS >= 4: the verdicts a subdivision keeps."""
-    a = analyse(g)
-    witnesses = fs_bipartitions(a.graph)
+    decision = decide(g)
     return (
-        a.lattice.rank,
-        is_dicing(star_matrix(a.lattice, a.classes)).is_dicing,
-        is_dicing(star_star_matrix(a.lattice, a.classes)).is_dicing,
-        is_fs_degeneration(witnesses, 2) is not None,
-        is_fs_degeneration(witnesses, 4) is not None,
+        decision.analysis.lattice.rank,
+        decision.star.is_dicing,
+        decision.starstar.is_dicing,
+        is_fs_degeneration(decision.fs, 2) is not None,
+        is_fs_degeneration(decision.fs, 4) is not None,
     )
 
 
